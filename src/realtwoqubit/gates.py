@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 _KINDS = ("ry", "x", "cz")
 
@@ -106,7 +106,3 @@ class Circuit:
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
         return cls(tuple(Gate.from_dict(g) for g in data["gates"]))
-
-    @classmethod
-    def of(cls, gates: Iterable[Gate]) -> "Circuit":
-        return cls(tuple(gates))

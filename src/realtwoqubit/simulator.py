@@ -1,9 +1,14 @@
-"""Exact dense simulator for two-qubit circuits over {Ry, X, CZ}.
+"""Exact simulator for two-qubit circuits over {Ry, X, CZ}.
 
 Kronecker convention: the first tensor factor acts on qubit 0, the left label
 of the ket, so amplitudes are ordered (|00>, |01>, |10>, |11>) and a gate on
 qubit 0 lifts to kron(M, I).  The convention test in the suite pins this down
 via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
+
+`apply` acts on the four amplitudes in closed form: Ry on qubit 0 rotates the
+pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates (w1, w2) and (w3, w4), X
+swaps the same pairs and CZ negates w4.  `gate_matrix` is the dense Kronecker
+reference the suite checks `apply` against.
 
 This module doubles as the independent entropy route: reduced density
 matrices, their closed-form eigenvalues, and the von Neumann entropy computed
@@ -54,10 +59,22 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 def apply(circuit: Circuit, state: RealState) -> RealState:
     """Run the circuit gate by gate, left to right."""
-    vec = state.vector
+    w1, w2, w3, w4 = state.w1, state.w2, state.w3, state.w4
     for gate in circuit:
-        vec = gate_matrix(gate) @ vec
-    return RealState.from_vector(vec)
+        if gate.kind == "cz":
+            w4 = -w4
+        elif gate.kind == "x":
+            if gate.qubit == 0:
+                w1, w2, w3, w4 = w3, w4, w1, w2
+            else:
+                w1, w2, w3, w4 = w2, w1, w4, w3
+        else:
+            c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+            if gate.qubit == 0:
+                w1, w2, w3, w4 = c * w1 - s * w3, c * w2 - s * w4, s * w1 + c * w3, s * w2 + c * w4
+            else:
+                w1, w2, w3, w4 = c * w1 - s * w2, s * w1 + c * w2, c * w3 - s * w4, s * w3 + c * w4
+    return RealState(w1, w2, w3, w4)
 
 
 def reduced_density_matrix(state: RealState, qubit: int = 0) -> np.ndarray:

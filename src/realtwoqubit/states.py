@@ -30,15 +30,15 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _unit_components(values, label: str) -> tuple[float, float, float, float]:
-    comps = tuple(float(v) for v in values)
-    if len(comps) != 4:
-        raise ValueError(f"expected 4 {label} components, got {len(comps)}")
-    if not all(math.isfinite(c) for c in comps):
-        raise ValueError(f"{label} components must be finite, got {comps}")
-    norm = math.sqrt(sum(c * c for c in comps))
+    if len(values) != 4:
+        raise ValueError(f"expected 4 {label} components, got {len(values)}")
+    a, b, c, d = map(float, values)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"{label} components must be finite, got {(a, b, c, d)}")
+    norm = math.sqrt(a * a + b * b + c * c + d * d)
     if abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"{label} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
-    return tuple(c / norm for c in comps)
+    return a / norm, b / norm, c / norm, d / norm
 
 
 @dataclass(frozen=True)
@@ -111,30 +111,24 @@ class BellCoords:
         return cls.from_vector(data["x"])
 
 
-# Rows are v1..v4 in computational coordinates; orthogonal, so the inverse
-# change of basis is the transpose.
-_BELL_ROWS = _INV_SQRT2 * np.array(
-    [
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, -1.0, 0.0],
-    ]
-)
-
-
 def to_bell(state: RealState) -> BellCoords:
     """Bell coordinates of a state.
 
     x1 = (w1 - w4)/sqrt(2), x2 = (w2 + w3)/sqrt(2),
     x3 = (w1 + w4)/sqrt(2), x4 = (w2 - w3)/sqrt(2).
     """
-    return BellCoords.from_vector(_BELL_ROWS @ state.vector)
+    w1, w2, w3, w4 = state.w1, state.w2, state.w3, state.w4
+    return BellCoords((w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2)
 
 
 def from_bell(coords: BellCoords) -> RealState:
-    """The state with the given Bell coordinates (inverse of to_bell)."""
-    return RealState.from_vector(_BELL_ROWS.T @ coords.vector)
+    """The state with the given Bell coordinates (inverse of to_bell).
+
+    w1 = (x1 + x3)/sqrt(2), w2 = (x2 + x4)/sqrt(2),
+    w3 = (x2 - x4)/sqrt(2), w4 = (x3 - x1)/sqrt(2).
+    """
+    x1, x2, x3, x4 = coords.x1, coords.x2, coords.x3, coords.x4
+    return RealState((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
 
 
 def bell_basis_state(index: int) -> RealState:
@@ -153,8 +147,10 @@ def concurrence(state: RealState) -> float:
 
 def sign_residual(a: RealState, b: RealState) -> float:
     """min(||a - b||, ||a + b||), the distance between states ignoring the global sign."""
-    va, vb = a.vector, b.vector
-    return min(float(np.linalg.norm(va - vb)), float(np.linalg.norm(va + vb)))
+    return min(
+        math.hypot(a.w1 - b.w1, a.w2 - b.w2, a.w3 - b.w3, a.w4 - b.w4),
+        math.hypot(a.w1 + b.w1, a.w2 + b.w2, a.w3 + b.w3, a.w4 + b.w4),
+    )
 
 
 def states_equal_up_to_sign(a: RealState, b: RealState, tol: float = DEFAULT_TOL) -> bool:

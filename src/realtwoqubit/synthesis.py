@@ -6,7 +6,7 @@ Three constructive results, each verified against the simulator:
   by local gates alone.  On a common torus the Bell planes rotate by s + t
   and t - s under Ry(2s) x Ry(2t), so matching both plane angles is a linear
   solve; an X on qubit 0 first swaps the sheets when the endpoints disagree,
-  and on the circles a single Ry(q0) suffices.
+  and on the circles, when 2 sin d <= tol, a single Ry(q0) suffices.
 * cz_connect: any two states are joined with at most one CZ.  The CZ image
   of the d0 torus meets the d1 torus (d0 > d1); one intersection point has
   Bell coordinates (0, sin d1, sqrt(sin^2 d0 - sin^2 d1), cos d0), reached
@@ -14,8 +14,9 @@ Three constructive results, each verified against the simulator:
 * prepare: any state is reached from |00> by the fixed template
   RY(q0, t1), RY(q1, t0), CZ, RY(q1, t2).
 
-Plans never cancel the global sign: residuals are min over +-target.  All
-emitted angles are normalized to (-pi, pi].
+Plans never cancel the global sign: residuals are min over +-target.  Each
+plan's residual comes from one simulation of its whole circuit on its
+source.  All emitted angles are normalized to (-pi, pi].
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .gates import Circuit, Gate
-from .geometry import DEGENERATE_SIN_D, entanglement_distance
+from .geometry import _DOMAIN_SLACK, _delta, entanglement_distance
 from .simulator import apply
 from .states import (
     DEFAULT_TOL,
@@ -70,10 +71,6 @@ def _wrap_angle(theta: float) -> float:
     return math.pi if t <= -math.pi else t
 
 
-def _delta(state: RealState) -> float:
-    return state.w1 * state.w4 - state.w2 * state.w3
-
-
 def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
     """Join two states on the same orbit by local gates.
 
@@ -82,8 +79,14 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
+    circuit = _local_circuit(source, target, tol)
+    return ConnectionPlan(circuit, None, 0, sign_residual(apply(circuit, source), target))
+
+
+def _local_circuit(source: RealState, target: RealState, tol: float) -> Circuit:
+    """The circuit of local_connect, not yet simulated."""
     if states_equal_up_to_sign(source, target, tol):
-        return ConnectionPlan(Circuit(()), None, 0, sign_residual(source, target))
+        return Circuit(())
     d_s = entanglement_distance(source)
     d_t = entanglement_distance(target)
     if abs(d_s - d_t) > tol:
@@ -97,31 +100,24 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
         prefix = (Gate.x(0),)
         cur = apply(Circuit(prefix), cur)
     cb, tb = to_bell(cur), to_bell(target)
-    if math.sin(d_t) < DEGENERATE_SIN_D:
+    if 2.0 * math.sin(d_t) <= tol:
         # Circle case.  Ry(q0, g) rotates the (x1, x2) plane by g/2 and the
-        # (x3, x4) plane by -g/2; only the populated plane matters here.
+        # (x3, x4) plane by -g/2; only the populated plane is matched, and the
+        # other one, of radius sin d, moves the result by at most 2 sin d.
         if math.hypot(cb.x3, cb.x4) >= math.hypot(cb.x1, cb.x2):
             dtheta = _wrap_angle(math.atan2(tb.x4, tb.x3) - math.atan2(cb.x4, cb.x3))
             gate = Gate.ry(0, _wrap_angle(-2.0 * dtheta))
         else:
             dtheta = _wrap_angle(math.atan2(tb.x2, tb.x1) - math.atan2(cb.x2, cb.x1))
             gate = Gate.ry(0, _wrap_angle(2.0 * dtheta))
-        circuit = Circuit(prefix + (gate,))
-        return ConnectionPlan(circuit, None, 0, sign_residual(apply(circuit, source), target))
+        return Circuit(prefix + (gate,))
     # Common torus: rotate the (x1, x2) plane by s + t and (x3, x4) by t - s.
     d_alpha = _wrap_angle(math.atan2(tb.x2, tb.x1) - math.atan2(cb.x2, cb.x1))
     d_beta = _wrap_angle(math.atan2(tb.x4, tb.x3) - math.atan2(cb.x4, cb.x3))
+    # The other mod-2pi branch, (s + pi, t + pi), wraps to the same angles.
     s = (d_alpha - d_beta) / 2.0
     t = (d_alpha + d_beta) / 2.0
-    best: ConnectionPlan | None = None
-    # The two mod-2pi branches act identically up to the global sign; both
-    # are simulated and the smaller residual wins.
-    for ss, tt in ((s, t), (s + math.pi, t + math.pi)):
-        circuit = Circuit(prefix + (Gate.ry(0, _wrap_angle(2.0 * ss)), Gate.ry(1, _wrap_angle(2.0 * tt))))
-        residual = sign_residual(apply(circuit, source), target)
-        if best is None or residual < best.residual:
-            best = ConnectionPlan(circuit, None, 0, residual)
-    return best
+    return Circuit(prefix + (Gate.ry(0, _wrap_angle(2.0 * s)), Gate.ry(1, _wrap_angle(2.0 * t))))
 
 
 def intersection_state(d0: float, d1: float) -> RealState:
@@ -132,7 +128,7 @@ def intersection_state(d0: float, d1: float) -> RealState:
     x2^2 + x3^2 = sin^2 d0, x1^2 + x4^2 = cos^2 d0 (CZ image of the d0 torus)
     and x1^2 + x2^2 = sin^2 d1, x3^2 + x4^2 = cos^2 d1 (the d1 torus).
     """
-    if not (0.0 <= d1 < d0 <= math.pi / 4.0 + 1e-12):
+    if not (0.0 <= d1 < d0 <= math.pi / 4.0 + _DOMAIN_SLACK):
         raise ValueError(f"need pi/4 >= d0 > d1 >= 0, got d0 = {d0!r}, d1 = {d1!r}")
     s0, s1 = math.sin(d0), math.sin(d1)
     return from_bell(BellCoords(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0)))
@@ -155,9 +151,9 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
     hi, lo = (target, source) if swapped else (source, target)
     mid = intersection_state(max(d_s, d_t), min(d_s, d_t))
     mid_cz = apply(Circuit((Gate.cz(),)), mid)
-    into = local_connect(hi, mid_cz, tol)
-    out_of = local_connect(mid, lo, tol)
-    circuit = Circuit(tuple(into.circuit) + (Gate.cz(),) + tuple(out_of.circuit))
+    into = _local_circuit(hi, mid_cz, tol)
+    out_of = _local_circuit(mid, lo, tol)
+    circuit = Circuit(into.gates + (Gate.cz(),) + out_of.gates)
     if swapped:
         circuit = circuit.inverse()
     residual = sign_residual(apply(circuit, source), target)
@@ -176,12 +172,13 @@ def preparation_angles(target: RealState) -> tuple[float, float, float]:
 
     t3 = Arg(w1 + i w2) and t4 = Arg(w3 + i w4) place each amplitude pair on
     its circle; t1 = 2 arccos(sqrt(w1^2 + w2^2)) splits the weight between
-    the pairs; t0 = t3 - t4 and t2 = t3 + t4 realize both pair angles with
-    one rotation before and one after the CZ.
+    the pairs, evaluated as 2 atan2(|(w3, w4)|, |(w1, w2)|) so that a
+    near-empty pair keeps its digits; t0 = t3 - t4 and t2 = t3 + t4 realize
+    both pair angles with one rotation before and one after the CZ.
     """
     t3 = _arg(target.w1, target.w2)
     t4 = _arg(target.w3, target.w4)
-    t1 = 2.0 * math.acos(min(math.hypot(target.w1, target.w2), 1.0))
+    t1 = 2.0 * math.atan2(math.hypot(target.w3, target.w4), math.hypot(target.w1, target.w2))
     return _wrap_angle(t1), _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
 
 

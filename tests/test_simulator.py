@@ -104,6 +104,26 @@ class TestApply:
             vec = gate_matrix(g) @ vec
         np.testing.assert_allclose(apply(circ, s).vector, vec, atol=1e-15)
 
+    def test_closed_form_matches_dense_kronecker_product(self, rng):
+        # apply acts on the amplitudes in closed form; gate_matrix is the
+        # dense kron(M, I) / kron(I, M) reference it must reproduce.
+        for _ in range(500):
+            s = _random_state(rng)
+            gates = []
+            for _ in range(rng.integers(1, 11)):
+                kind = rng.choice(["ry", "ry", "x", "cz"])
+                if kind == "cz":
+                    gates.append(Gate.cz())
+                elif kind == "x":
+                    gates.append(Gate.x(int(rng.integers(0, 2))))
+                else:
+                    gates.append(Gate.ry(int(rng.integers(0, 2)), float(rng.uniform(-2 * math.pi, 2 * math.pi))))
+            circ = Circuit(tuple(gates))
+            dense = np.eye(4)
+            for g in circ:
+                dense = gate_matrix(g) @ dense
+            np.testing.assert_allclose(apply(circ, s).vector, dense @ s.vector, rtol=0, atol=1e-14)
+
     def test_cz_involution(self, rng):
         twice = Circuit((Gate.cz(), Gate.cz()))
         for _ in range(50):

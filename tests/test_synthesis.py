@@ -114,6 +114,22 @@ class TestLocalConnect:
                 assert plan.residual < 1e-10
                 assert states_equal_up_to_sign(apply(plan.circuit, src), tgt, 1e-10)
 
+    def test_near_circle_meets_tol(self, rng):
+        # At d = 1e-9 the one-Ry circle form would miss by about 2 sin d =
+        # 2e-9, so the default tol needs the torus solve.
+        for _ in range(50):
+            src, tgt = sample_orbit_states(1e-9, 2, rng)
+            plan = local_connect(src, tgt)
+            assert [g.kind for g in plan.circuit if g.kind != "x"] == ["ry", "ry"]
+            assert plan.residual <= 1e-10
+
+    def test_circle_form_kept_when_it_meets_tol(self, rng):
+        for _ in range(50):
+            src, tgt = sample_orbit_states(1e-9, 2, rng)
+            plan = local_connect(src, tgt, tol=1e-8)
+            assert [g.kind for g in plan.circuit if g.kind != "x"] == ["ry"]
+            assert plan.residual <= 1e-8
+
     def test_angles_normalized(self, rng):
         for _ in range(200):
             d = rng.uniform(0.0, PI4)
@@ -200,6 +216,15 @@ class TestCzConnect:
             assert down.cz_count == up.cz_count == 1
             assert down.residual < 1e-9 and up.residual < 1e-9
 
+    def test_to_and_from_near_circle(self, rng):
+        for _ in range(50):
+            (near,) = sample_orbit_states(1e-9, 1, rng)
+            (far,) = sample_orbit_states(rng.uniform(0.05, PI4), 1, rng)
+            for src, tgt in ((far, near), (near, far)):
+                plan = cz_connect(src, tgt)
+                assert plan.cz_count == 1
+                assert plan.residual <= 1e-10
+
     def test_plan_json(self, rng):
         plan = cz_connect(ZERO, bell_basis_state(3))
         data = plan.to_dict()
@@ -239,6 +264,19 @@ class TestPrepare:
         for _ in range(2000):
             s = _random_state(rng)
             assert sign_residual(apply(prepare(s), ZERO), s) < 1e-10
+
+    def test_near_empty_pair_keeps_its_digits(self, rng):
+        # A split angle from acos(|(w1, w2)|) drops a pair of size 1e-8.
+        targets = [RealState(1.0, 0.0, 1e-8, 0.0), RealState(0.0, 1e-8, 0.0, 1.0)]
+        for _ in range(200):
+            eps = 10.0 ** rng.uniform(-12.0, -6.0)
+            a, b = rng.uniform(0, TWO_PI, size=2)
+            small = eps * np.array([math.cos(a), math.sin(a)])
+            large = math.sqrt(1.0 - eps * eps) * np.array([math.cos(b), math.sin(b)])
+            pairs = (small, large) if rng.random() < 0.5 else (large, small)
+            targets.append(RealState.from_vector(np.concatenate(pairs)))
+        for target in targets:
+            assert sign_residual(apply(prepare(target), ZERO), target) <= 1e-10
 
     def test_exactly_one_template_layout_is_consistent(self, rng):
         # Candidate layouts: which wire takes t1 and which takes the
