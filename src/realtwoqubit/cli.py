@@ -13,13 +13,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .geometry import (
     classify,
-    entropy_from_distance,
+    entropy_from_concurrence,
     mesh_to_csv,
-    mesh_to_dict,
+    mesh_to_json,
     orbit_mesh,
     sample_orbit_states,
 )
@@ -103,13 +101,15 @@ def _input_batches(args_values: list[float], per_line: int):
 def _classify_report(state: RealState) -> dict:
     orbit = classify(state)
     coords = to_bell(state)
+    c = concurrence(state)
     return {
         "d": orbit.d,
-        "entropy": entropy_from_distance(orbit.d),
+        # From C rather than d: near the product torus d has too few digits.
+        "entropy": entropy_from_concurrence(c),
         "class": orbit.kind,
         "sheet": orbit.sheet,
         "bell": [coords.x1, coords.x2, coords.x3, coords.x4],
-        "concurrence": concurrence(state),
+        "concurrence": c,
     }
 
 
@@ -141,10 +141,7 @@ def _cmd_connect(args) -> int:
 def _cmd_mesh(args) -> int:
     _check_tol(args)
     points = orbit_mesh(args.d, args.na, args.nb)
-    if args.format == "csv":
-        text = mesh_to_csv(points)
-    else:
-        text = json.dumps(mesh_to_dict(args.d, points)) + "\n"
+    text = mesh_to_csv(points) if args.format == "csv" else mesh_to_json(args.d, points)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -157,6 +154,8 @@ def _cmd_sample(args) -> int:
     _check_tol(args)
     if args.count < 0:
         raise ValueError(f"count must be non-negative, got {args.count}")
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     states = sample_orbit_states(args.d, args.count, rng)
     print(json.dumps({"d": args.d, "states": [s.to_dict() for s in states]}))

@@ -8,7 +8,8 @@ via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
 `apply` acts on the four amplitudes in closed form: Ry on qubit 0 rotates the
 pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates (w1, w2) and (w3, w4), X
 swaps the same pairs and CZ negates w4.  `gate_matrix` is the dense Kronecker
-reference the suite checks `apply` against.
+reference the suite checks `apply` against.  The functions that return arrays
+import numpy when called, so running circuits alone never loads it.
 
 This module doubles as the independent entropy route: reduced density
 matrices, their closed-form eigenvalues, and the von Neumann entropy computed
@@ -18,15 +19,13 @@ from those eigenvalues.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gates import Circuit, Gate
 from .states import RealState
 
-_I2 = np.eye(2)
-_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0])
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Eigenvalues below this contribute 0 to the entropy (0*log2(0) = 0 branch).
 EIG_FLOOR = 1e-15
@@ -34,26 +33,34 @@ EIG_FLOOR = 1e-15
 
 def ry_matrix(theta: float) -> np.ndarray:
     """[[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
+    import numpy as np
+
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]])
 
 
 def ry_matrix_deriv(theta: float) -> np.ndarray:
     """Entrywise derivative of ry_matrix with respect to theta."""
+    import numpy as np
+
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return 0.5 * np.array([[-s, -c], [c, -s]])
 
 
 def _lift(single: np.ndarray, qubit: int) -> np.ndarray:
-    return np.kron(single, _I2) if qubit == 0 else np.kron(_I2, single)
+    import numpy as np
+
+    return np.kron(single, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), single)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """4x4 orthogonal matrix of a gate."""
+    import numpy as np
+
     if gate.kind == "cz":
-        return _CZ.copy()
+        return np.diag([1.0, 1.0, 1.0, -1.0])
     if gate.kind == "x":
-        return _lift(_X2, gate.qubit)
+        return _lift(np.array([[0.0, 1.0], [1.0, 0.0]]), gate.qubit)
     return _lift(ry_matrix(gate.angle), gate.qubit)
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default verification tolerance for equality predicates.
 DEFAULT_TOL = 1e-10
@@ -66,6 +68,8 @@ class RealState:
 
     @property
     def vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.w1, self.w2, self.w3, self.w4])
 
     def to_dict(self) -> dict:
@@ -101,6 +105,8 @@ class BellCoords:
 
     @property
     def vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x1, self.x2, self.x3, self.x4])
 
     def to_dict(self) -> dict:

@@ -79,20 +79,31 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
-    circuit = _local_circuit(source, target, tol)
+    circuit = Circuit(())
+    if not states_equal_up_to_sign(source, target, tol):
+        d_s = entanglement_distance(source)
+        d_t = entanglement_distance(target)
+        if abs(d_s - d_t) > tol:
+            raise OrbitMismatchError(
+                f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d"
+            )
+        circuit = _orbit_circuit(source, target, d_t, tol)
     return ConnectionPlan(circuit, None, 0, sign_residual(apply(circuit, source), target))
 
 
-def _local_circuit(source: RealState, target: RealState, tol: float) -> Circuit:
-    """The circuit of local_connect, not yet simulated."""
+def _leg(source: RealState, target: RealState, tol: float) -> Circuit:
+    """A local leg of cz_connect, not yet simulated.
+
+    Its ends share an orbit by construction, so d is not compared: with a
+    tiny tol, rounding alone parts the two computed d by more than tol.
+    """
     if states_equal_up_to_sign(source, target, tol):
         return Circuit(())
-    d_s = entanglement_distance(source)
-    d_t = entanglement_distance(target)
-    if abs(d_s - d_t) > tol:
-        raise OrbitMismatchError(
-            f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d"
-        )
+    return _orbit_circuit(source, target, entanglement_distance(target), tol)
+
+
+def _orbit_circuit(source: RealState, target: RealState, d_t: float, tol: float) -> Circuit:
+    """Local circuit from source to a distinct target on its orbit, at distance d_t."""
     prefix: tuple[Gate, ...] = ()
     cur = source
     if _delta(source) * _delta(target) < 0.0:
@@ -151,8 +162,8 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
     hi, lo = (target, source) if swapped else (source, target)
     mid = intersection_state(max(d_s, d_t), min(d_s, d_t))
     mid_cz = apply(Circuit((Gate.cz(),)), mid)
-    into = _local_circuit(hi, mid_cz, tol)
-    out_of = _local_circuit(mid, lo, tol)
+    into = _leg(hi, mid_cz, tol)
+    out_of = _leg(mid, lo, tol)
     circuit = Circuit(into.gates + (Gate.cz(),) + out_of.gates)
     if swapped:
         circuit = circuit.inverse()

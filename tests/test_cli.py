@@ -3,7 +3,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,10 +19,13 @@ from realtwoqubit import (
     classify,
     concurrence,
     cz_connect,
+    entropy_from_concurrence,
     entropy_from_distance,
+    parametrize,
     prepare,
     sign_residual,
     to_bell,
+    TorusPoint,
 )
 from realtwoqubit.cli import main
 
@@ -94,6 +102,57 @@ class TestClassify:
         assert "tolerance" in err
 
 
+def _mp_entropy(c):
+    """Binary entropy of (1 + sqrt(1 - c^2))/2 at 50 digits."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(c)
+        q = c * c / (2 * (1 + mpmath.sqrt(1 - c * c)))
+        return float(-q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2))
+
+
+def _mp_concurrence(w):
+    """2|w1 w4 - w2 w3| of the input amplitudes, normalized at 50 digits."""
+    with mpmath.workdps(50):
+        v = [mpmath.mpf(x) for x in w]
+        return float(2 * abs(v[0] * v[3] - v[1] * v[2]) / sum(x * x for x in v))
+
+
+class TestClassifyEntropyNearProductTorus:
+    """The reported entropy keeps its digits where it is tiny, against mpmath."""
+
+    @staticmethod
+    def _inputs(rng):
+        d = math.pi / 4 - 1e-8
+        for _ in range(100):
+            sheet = "V34" if rng.random() < 0.5 else "V12"
+            s = parametrize(TorusPoint(d, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), sheet))
+            yield [s.w1, s.w2, s.w3, s.w4]
+        for eps in map(float, np.geomspace(1e-10, 1e-7, 100)):
+            big, small = rng.uniform(0, 2 * math.pi, size=2)
+            w = [math.cos(big), math.sin(big), eps * math.cos(small), eps * math.sin(small)]
+            yield w if rng.random() < 0.5 else w[2:] + w[:2]
+
+    def test_relative_accuracy(self, capsys, monkeypatch, rng):
+        inputs = list(self._inputs(rng))
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(" ".join(map(repr, w)) + "\n" for w in inputs)))
+        code, out, _ = run_cli(capsys, "classify")
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(reports) == len(inputs)
+        for w, report in zip(inputs, reports):
+            c = report["concurrence"]
+            # C carries only the rounding of double-precision products; the
+            # entropy of that C must then hold to relative 1e-10.
+            assert abs(c - _mp_concurrence(w)) <= 2.0**-50
+            assert 0.0 < c < 1e-6
+            ref = _mp_entropy(c)
+            assert abs(report["entropy"] - ref) <= 1e-10 * ref
+
+    def test_extremes_exact(self):
+        assert entropy_from_concurrence(0.0) == entropy_from_distance(math.pi / 4) == 0.0
+        assert entropy_from_concurrence(1.0) == entropy_from_distance(0.0) == 1.0
+
+
 class TestPrepare:
     def test_circuit_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "prepare", *V3_ARGS)
@@ -140,6 +199,14 @@ class TestConnect:
         code, _, _ = run_cli(capsys, "connect", "1", "0", "0", "0")
         assert code == 2
 
+    def test_tiny_tol_cross_orbit(self, capsys):
+        # Rounding parts the two computed d of this pair's second leg by more than 1e-17.
+        src = ["0.34073915986166803", "0.7439569242138125", "0.12413159065545062", "-0.56126310056197"]
+        tgt = ["-0.3752917860211544", "0.6266261345732076", "0.07945620170582766", "-0.6783675072004668"]
+        code, out, err = run_cli(capsys, "connect", "--tol", "1e-17", *src, *tgt)
+        assert code == 0, err
+        assert json.loads(out)["cz_count"] == 1
+
     def test_stdin_pairs(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0 0 1 0 0\n"))
         code, out, _ = run_cli(capsys, "connect")
@@ -182,7 +249,45 @@ class TestMesh:
         assert code == 2
 
 
+def test_numpy_stays_unloaded_until_sample():
+    script = (
+        "import sys\n"
+        "from realtwoqubit.cli import main\n"
+        "runs = [\n"
+        "    ['classify', '1', '0', '0', '0'],\n"
+        "    ['prepare', '0.5', '0.5', '0.5', '0.5'],\n"
+        "    ['connect', '1', '0', '0', '0', '0', '0', '0', '1'],\n"
+        "    ['connect', '--local-only', '1', '0', '0', '0', '0', '1', '0', '0'],\n"
+        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4'],\n"
+        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4', '--format', 'csv'],\n"
+        "]\n"
+        "codes = [main(argv) for argv in runs]\n"
+        "before = 'numpy' in sys.modules\n"
+        "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"
+        "print(codes, before, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False True"
+
+
 class TestSample:
+    def test_seeded_output_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--d", "0.3", "--seed", "7", "--count", "5")
+        assert code == 0
+        assert json.loads(out) == {
+            "d": 0.3,
+            "states": [
+                {"w": [0.2754286229598019, -0.792513313677788, -0.5409798925851104, 0.058330756179924136]},
+                {"w": [0.40852592414261607, -0.2833206432108774, 0.680659292049593, 0.5380881996295246]},
+                {"w": [0.28731348187644123, -0.8345812358820117, 0.457812756758129, 0.10645470208127067]},
+                {"w": [-0.1883587922644001, 0.8622497406558056, -0.46730861597040213, -0.05166243853632784]},
+                {"w": [-0.8718935311825223, 0.05138765281739033, 0.08999209674201047, -0.47860464053743573]},
+            ],
+        }
+
     def test_deterministic_under_seed(self, capsys):
         code1, out1, _ = run_cli(capsys, "sample", "--d", "0.5", "--count", "4", "--seed", "7")
         code2, out2, _ = run_cli(capsys, "sample", "--d", "0.5", "--count", "4", "--seed", "7")

@@ -1,5 +1,6 @@
 """Orbit classification, torus parametrization, the immersion identity and meshes."""
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from realtwoqubit import (
     from_bell,
     immersion_defect,
     mesh_to_csv,
-    mesh_to_dict,
+    mesh_to_json,
     orbit_mesh,
     orbit_surface,
     parametrize,
@@ -328,11 +329,55 @@ class TestOrbitMesh:
 
     def test_dict_rendering(self):
         points = orbit_mesh(0.0, 4, 4)
-        data = mesh_to_dict(0.0, points)
+        data = json.loads(mesh_to_json(0.0, points))
         assert data["d"] == 0.0
         assert len(data["points"]) == len(points)
         assert set(data["points"][0]) == {"u", "sheet"}
         assert len(data["points"][0]["u"]) == 3
+
+
+def _per_point_mesh(d, n_a, n_b):
+    """orbit_mesh with the trigonometry evaluated afresh at every point: the reference."""
+    grid_a = [TWO_PI * i / n_a for i in range(n_a)]
+    grid_b = [TWO_PI * i / n_b for i in range(n_b)]
+    if d <= 1e-12:
+        return [(0.0, 0.0, math.cos(t), d, "V34") for t in grid_b if math.sin(t) >= 0.0] + [
+            (math.cos(t), math.sin(t), 0.0, d, "V12") for t in grid_b
+        ]
+    sd, cd = math.sin(d), math.cos(d)
+    points = []
+    for a in grid_a:
+        for b in grid_b:
+            if math.sin(b) >= 0.0:
+                sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
+                points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
+            if math.sin(a) >= 0.0 and abs(d - PI4) > 1e-12:
+                points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
+    return points
+
+
+MESH_CASES = [(d, n, n + 1) for d in (0.0, 1e-13, math.pi / 6, PI4 - 1e-13, PI4) for n in (6, 7)]
+
+
+class TestMeshWriters:
+    @pytest.mark.parametrize("d, n_a, n_b", MESH_CASES)
+    def test_grid_matches_per_point_evaluation(self, d, n_a, n_b):
+        assert orbit_mesh(d, n_a, n_b) == _per_point_mesh(d, n_a, n_b)
+
+    @pytest.mark.parametrize("d, n_a, n_b", MESH_CASES)
+    def test_writers_match_reference_renderings(self, d, n_a, n_b):
+        points = orbit_mesh(d, n_a, n_b)
+        rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
+        assert mesh_to_csv(points) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+        data = {"d": d, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
+        assert mesh_to_json(d, points) == json.dumps(data) + "\n"
+
+    def test_writers_keep_signed_zeros(self):
+        points = [MeshPoint(0.0, -0.0, 0.5, -0.0, "V34"), MeshPoint(-0.0, 0.0, 0.5, 0.0, "V12")]
+        assert mesh_to_csv(points) == "u1,u2,u3,d,sheet\n0.0,-0.0,0.5,-0.0,V34\n-0.0,0.0,0.5,0.0,V12\n"
+        assert mesh_to_json(-0.0, points) == json.dumps(
+            {"d": -0.0, "points": [{"u": [0.0, -0.0, 0.5], "sheet": "V34"}, {"u": [-0.0, 0.0, 0.5], "sheet": "V12"}]}
+        ) + "\n"
 
 
 class TestSampling:

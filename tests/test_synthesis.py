@@ -225,6 +225,13 @@ class TestCzConnect:
                 assert plan.cz_count == 1
                 assert plan.residual <= 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-17])
+    def test_tiny_tol_never_mismatches_legs(self, rng, tol):
+        # The legs share an orbit by construction; their d is not re-compared.
+        for _ in range(300):
+            plan = cz_connect(_random_state(rng), _random_state(rng), tol)
+            assert plan.cz_count in (0, 1)
+
     def test_plan_json(self, rng):
         plan = cz_connect(ZERO, bell_basis_state(3))
         data = plan.to_dict()
