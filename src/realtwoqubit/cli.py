@@ -21,21 +21,13 @@ from .geometry import (
     orbit_mesh,
     sample_orbit_states,
 )
-from .simulator import apply
-from .states import DEFAULT_TOL, RealState, concurrence, sign_residual, to_bell
-from .synthesis import OrbitMismatchError, cz_connect, local_connect, prepare
-
-
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance (default 1e-10)")
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (csv applies to mesh)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed for sampling")
-    return common
+from .states import DEFAULT_TOL, RealState, concurrence, to_bell
+from .synthesis import OrbitMismatchError, cz_connect, local_connect, prepare, residual
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance (default 1e-10)")
     parser = argparse.ArgumentParser(
         prog="realtwoqubit",
         description="Orbit classification and circuit synthesis for real-amplitude two-qubit states.",
@@ -60,20 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--na", type=int, default=64, help="grid size for angle a (default 64)")
     p.add_argument("--nb", type=int, default=64, help="grid size for angle b (default 64)")
     p.add_argument("--out", default=None, help="write to this path instead of stdout")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
     p.set_defaults(func=_cmd_mesh)
 
     p = sub.add_parser("sample", parents=[common], help="random states on an orbit")
     p.add_argument("--d", type=float, required=True, help="orbit distance in [0, pi/4]")
     p.add_argument("--count", type=int, default=1, help="number of states (default 1)")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.set_defaults(func=_cmd_sample)
 
     return parser
-
-
-def _check_tol(args) -> float:
-    if not (args.tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {args.tol!r}")
-    return args.tol
 
 
 def _states_from_values(values: list[float], per_line: int):
@@ -114,32 +102,27 @@ def _classify_report(state: RealState) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    _check_tol(args)
     for (state,) in _input_batches(args.state, 4):
         print(json.dumps(_classify_report(state)))
     return 0
 
 
 def _cmd_prepare(args) -> int:
-    _check_tol(args)
     zero = RealState(1.0, 0.0, 0.0, 0.0)
     for (state,) in _input_batches(args.state, 4):
         circuit = prepare(state)
-        residual = sign_residual(apply(circuit, zero), state)
-        print(json.dumps({**circuit.to_dict(), "residual": residual}))
+        print(json.dumps({**circuit.to_dict(), "residual": residual(circuit, zero, state)}))
     return 0
 
 
 def _cmd_connect(args) -> int:
-    tol = _check_tol(args)
     for src, tgt in _input_batches(args.states, 8):
-        plan = local_connect(src, tgt, tol) if args.local_only else cz_connect(src, tgt, tol)
+        plan = local_connect(src, tgt, args.tol) if args.local_only else cz_connect(src, tgt, args.tol)
         print(json.dumps(plan.to_dict()))
     return 0
 
 
 def _cmd_mesh(args) -> int:
-    _check_tol(args)
     points = orbit_mesh(args.d, args.na, args.nb)
     text = mesh_to_csv(points) if args.format == "csv" else mesh_to_json(args.d, points)
     if args.out:
@@ -151,9 +134,6 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _check_tol(args)
-    if args.count < 0:
-        raise ValueError(f"count must be non-negative, got {args.count}")
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
@@ -166,6 +146,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand takes --tol, so it is checked once, here.
+        if not (args.tol > 0.0):
+            raise ValueError(f"tolerance must be positive, got {args.tol!r}")
         return args.func(args)
     except OrbitMismatchError as exc:
         print(f"error: ORBIT_MISMATCH: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ labels the orbits:
 * d = pi/4: a single torus, exactly the product states.
 
 The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
-apart without computing distances twice.
+apart without computing distances twice (`states.on_v34_side`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .gates import Circuit, Gate
 from .simulator import apply, ry_matrix, ry_matrix_deriv
-from .states import BellCoords, RealState, from_bell, to_bell
+from .states import BellCoords, RealState, from_bell, on_v34_side, to_bell
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,23 +101,22 @@ def _checked_distance(d: float) -> float:
     return min(max(d, 0.0), QUARTER_PI)
 
 
-def _plane_radii(coords: BellCoords) -> tuple[float, float]:
-    return math.hypot(coords.x1, coords.x2), math.hypot(coords.x3, coords.x4)
-
-
-def _delta(state: RealState) -> float:
-    return state.w1 * state.w4 - state.w2 * state.w3
+def _chart(state: RealState) -> tuple[float, float, float]:
+    """d and the angles of the state in the (x1, x2) and (x3, x4) planes, from one Bell change."""
+    x = to_bell(state)
+    r12, r34 = math.hypot(x.x1, x.x2), math.hypot(x.x3, x.x4)
+    return math.atan2(min(r12, r34), max(r12, r34)), math.atan2(x.x2, x.x1), math.atan2(x.x4, x.x3)
 
 
 def entanglement_distance(state: RealState) -> float:
     """Distance to the nearer maximally entangled circle, in [0, pi/4].
 
     Equal to min(arcsin r, pi/2 - arcsin r) with r = sqrt(x1^2 + x2^2);
-    evaluated as atan2(min(r12, r34), max(r12, r34)), the same fold computed
-    stably at both circles, where the arcsin form loses half its digits.
+    evaluated as atan2 of the smaller Bell-plane radius over the larger, the
+    same fold computed stably at both circles, where the arcsin form loses
+    half its digits.
     """
-    r12, r34 = _plane_radii(to_bell(state))
-    return math.atan2(min(r12, r34), max(r12, r34))
+    return _chart(state)[0]
 
 
 def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitClass:
@@ -125,21 +124,17 @@ def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitCla
 
     d <= class_tol is maximally entangled, |d - pi/4| <= class_tol is product
     (sheet BOTH, the two sheets coincide there), anything else is generic.
-    The sheet comes from the sign of w1*w4 - w2*w3: positive on the V34 side,
-    negative on V12.
+    The sheet comes from the sign of w1*w4 - w2*w3: V34 when it is positive
+    or zero, V12 when negative.
     """
     d = entanglement_distance(state)
     if d <= class_tol:
         kind = MAX_ENTANGLED
     elif abs(d - QUARTER_PI) <= class_tol:
-        kind = PRODUCT
+        return OrbitClass(PRODUCT, d, SHEET_BOTH)
     else:
         kind = GENERIC
-    if kind == PRODUCT:
-        sheet = SHEET_BOTH
-    else:
-        sheet = SHEET_V34 if _delta(state) > 0.0 else SHEET_V12
-    return OrbitClass(kind, d, sheet)
+    return OrbitClass(kind, d, SHEET_V34 if on_v34_side(state) else SHEET_V12)
 
 
 def entropy_from_concurrence(c: float) -> float:
@@ -183,16 +178,14 @@ def torus_angles(state: RealState) -> TorusPoint:
     Raises DegenerateAngleError when sin(d) < 1e-9: on the circles the
     small-radius plane carries no direction, so `a` is undefined.
     """
-    coords = to_bell(state)
-    r12, r34 = _plane_radii(coords)
-    d = math.atan2(min(r12, r34), max(r12, r34))
+    d, angle12, angle34 = _chart(state)
     if math.sin(d) < DEGENERATE_SIN_D:
         raise DegenerateAngleError(
             f"state lies on a maximally entangled circle (sin d = {math.sin(d):.3e}); torus angle a is undefined"
         )
-    if _delta(state) >= 0.0:
-        return TorusPoint(d, math.atan2(coords.x2, coords.x1), math.atan2(coords.x4, coords.x3), SHEET_V34)
-    return TorusPoint(d, math.atan2(coords.x4, coords.x3), math.atan2(coords.x2, coords.x1), SHEET_V12)
+    if on_v34_side(state):
+        return TorusPoint(d, angle12, angle34, SHEET_V34)
+    return TorusPoint(d, angle34, angle12, SHEET_V12)
 
 
 def parametrize(point: TorusPoint) -> RealState:

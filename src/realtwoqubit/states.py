@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -31,90 +32,76 @@ NORM_SLACK = 1e-6
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _unit_components(values, label: str) -> tuple[float, float, float, float]:
-    if len(values) != 4:
-        raise ValueError(f"expected 4 {label} components, got {len(values)}")
-    a, b, c, d = map(float, values)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-        raise ValueError(f"{label} components must be finite, got {(a, b, c, d)}")
-    norm = math.sqrt(a * a + b * b + c * c + d * d)
-    if abs(norm - 1.0) >= NORM_SLACK:
-        raise ValueError(f"{label} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
-    return a / norm, b / norm, c / norm, d / norm
+class _UnitVector:
+    """The body RealState and BellCoords share: four finite floats of unit norm.
+
+    Each subclass is a frozen dataclass with four float fields and sets
+    `_values`, an attrgetter of the four in order; `_key` names the list in
+    the dict form and `_noun` the components in error messages.
+    """
+
+    def __post_init__(self):
+        a, b, c, d = map(float, self._values(self))
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise ValueError(f"{self._noun} components must be finite, got {(a, b, c, d)}")
+        norm = math.sqrt(a * a + b * b + c * c + d * d)
+        if abs(norm - 1.0) >= NORM_SLACK:
+            raise ValueError(f"{self._noun} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
+        # Field by field: touching __dict__ would take the fields out of
+        # CPython's inline attribute storage and slow every later read.
+        n1, n2, n3, n4 = self.__dataclass_fields__
+        object.__setattr__(self, n1, a / norm)
+        object.__setattr__(self, n2, b / norm)
+        object.__setattr__(self, n3, c / norm)
+        object.__setattr__(self, n4, d / norm)
+
+    @classmethod
+    def from_vector(cls, vec):
+        values = [float(v) for v in vec]
+        if len(values) != 4:
+            raise ValueError(f"expected 4 {cls._noun}s, got {len(values)}")
+        return cls(*values)
+
+    @property
+    def vector(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._values(self))
+
+    def to_dict(self) -> dict:
+        return {self._key: list(self._values(self))}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls.from_vector(data[cls._key])
 
 
 @dataclass(frozen=True)
-class RealState:
+class RealState(_UnitVector):
     """Unit vector of real amplitudes for |00>, |01>, |10>, |11>."""
+
+    _key = "w"
+    _noun = "amplitude"
+    _values = attrgetter("w1", "w2", "w3", "w4")
 
     w1: float
     w2: float
     w3: float
     w4: float
 
-    def __post_init__(self):
-        w1, w2, w3, w4 = _unit_components((self.w1, self.w2, self.w3, self.w4), "amplitude")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "w3", w3)
-        object.__setattr__(self, "w4", w4)
-
-    @classmethod
-    def from_vector(cls, vec) -> "RealState":
-        values = [float(v) for v in vec]
-        if len(values) != 4:
-            raise ValueError(f"expected 4 amplitudes, got {len(values)}")
-        return cls(*values)
-
-    @property
-    def vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.w1, self.w2, self.w3, self.w4])
-
-    def to_dict(self) -> dict:
-        return {"w": [self.w1, self.w2, self.w3, self.w4]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RealState":
-        return cls.from_vector(data["w"])
-
 
 @dataclass(frozen=True)
-class BellCoords:
+class BellCoords(_UnitVector):
     """Coordinates (x1, x2, x3, x4) of a state in the Bell basis v1..v4."""
+
+    _key = "x"
+    _noun = "Bell coordinate"
+    _values = attrgetter("x1", "x2", "x3", "x4")
 
     x1: float
     x2: float
     x3: float
     x4: float
-
-    def __post_init__(self):
-        x1, x2, x3, x4 = _unit_components((self.x1, self.x2, self.x3, self.x4), "Bell coordinate")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "x3", x3)
-        object.__setattr__(self, "x4", x4)
-
-    @classmethod
-    def from_vector(cls, vec) -> "BellCoords":
-        values = [float(v) for v in vec]
-        if len(values) != 4:
-            raise ValueError(f"expected 4 coordinates, got {len(values)}")
-        return cls(*values)
-
-    @property
-    def vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x1, self.x2, self.x3, self.x4])
-
-    def to_dict(self) -> dict:
-        return {"x": [self.x1, self.x2, self.x3, self.x4]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BellCoords":
-        return cls.from_vector(data["x"])
 
 
 def to_bell(state: RealState) -> BellCoords:
@@ -146,9 +133,23 @@ def bell_basis_state(index: int) -> RealState:
     return from_bell(BellCoords(*x))
 
 
+def _minor(state: RealState) -> float:
+    # (r34^2 - r12^2)/2 in terms of the Bell-plane radii: half of +-cos 2d.
+    return state.w1 * state.w4 - state.w2 * state.w3
+
+
 def concurrence(state: RealState) -> float:
     """2|w1*w4 - w2*w3|: 0 for product states, 1 for maximally entangled ones."""
-    return 2.0 * abs(state.w1 * state.w4 - state.w2 * state.w3)
+    return 2.0 * abs(_minor(state))
+
+
+def on_v34_side(state: RealState) -> bool:
+    """True when w1*w4 - w2*w3 >= 0: the state is at least as close to E(v3, v4) as to E(v1, v2).
+
+    The one sheet test: a zero product, which only the product torus has,
+    counts as V34.
+    """
+    return _minor(state) >= 0.0
 
 
 def sign_residual(a: RealState, b: RealState) -> float:

@@ -25,16 +25,16 @@ import math
 from dataclasses import dataclass
 
 from .gates import Circuit, Gate
-from .geometry import _DOMAIN_SLACK, _delta, entanglement_distance
+from .geometry import _DOMAIN_SLACK, _chart, entanglement_distance
 from .simulator import apply
 from .states import (
     DEFAULT_TOL,
     BellCoords,
     RealState,
     from_bell,
+    on_v34_side,
     sign_residual,
     states_equal_up_to_sign,
-    to_bell,
 )
 
 
@@ -53,8 +53,11 @@ class ConnectionPlan:
 
     circuit: Circuit
     intermediate: RealState | None
-    cz_count: int
     residual: float
+
+    @property
+    def cz_count(self) -> int:
+        return self.circuit.cz_count
 
     def to_dict(self) -> dict:
         return {
@@ -71,6 +74,11 @@ def _wrap_angle(theta: float) -> float:
     return math.pi if t <= -math.pi else t
 
 
+def residual(circuit: Circuit, source: RealState, target: RealState) -> float:
+    """min(||out - target||, ||out + target||) for out the circuit's output on source."""
+    return sign_residual(apply(circuit, source), target)
+
+
 def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
     """Join two states on the same orbit by local gates.
 
@@ -79,52 +87,40 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
-    circuit = Circuit(())
-    if not states_equal_up_to_sign(source, target, tol):
-        d_s = entanglement_distance(source)
-        d_t = entanglement_distance(target)
-        if abs(d_s - d_t) > tol:
-            raise OrbitMismatchError(
-                f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d"
-            )
-        circuit = _orbit_circuit(source, target, d_t, tol)
-    return ConnectionPlan(circuit, None, 0, sign_residual(apply(circuit, source), target))
+    circuit = _leg(source, target, tol)
+    d_s, d_t = entanglement_distance(source), entanglement_distance(target)
+    # An empty leg means the states are equal within tol, whatever their computed d.
+    if circuit.gates and abs(d_s - d_t) > tol:
+        raise OrbitMismatchError(
+            f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d"
+        )
+    return ConnectionPlan(circuit, None, residual(circuit, source, target))
 
 
 def _leg(source: RealState, target: RealState, tol: float) -> Circuit:
-    """A local leg of cz_connect, not yet simulated.
+    """Local circuit from source to a target on its orbit, not yet simulated.
 
-    Its ends share an orbit by construction, so d is not compared: with a
-    tiny tol, rounding alone parts the two computed d by more than tol.
+    The orbit is taken to be the target's: d is not compared, since with a
+    tiny tol rounding alone parts the two computed d by more than tol.
     """
     if states_equal_up_to_sign(source, target, tol):
         return Circuit(())
-    return _orbit_circuit(source, target, entanglement_distance(target), tol)
-
-
-def _orbit_circuit(source: RealState, target: RealState, d_t: float, tol: float) -> Circuit:
-    """Local circuit from source to a distinct target on its orbit, at distance d_t."""
     prefix: tuple[Gate, ...] = ()
-    cur = source
-    if _delta(source) * _delta(target) < 0.0:
+    v34 = on_v34_side(target)
+    if on_v34_side(source) != v34:
         # Opposite sheets: X on qubit 0 maps one torus onto its mirror.
         prefix = (Gate.x(0),)
-        cur = apply(Circuit(prefix), cur)
-    cb, tb = to_bell(cur), to_bell(target)
-    if 2.0 * math.sin(d_t) <= tol:
+        source = apply(Circuit(prefix), source)
+    _, c12, c34 = _chart(source)
+    d, t12, t34 = _chart(target)
+    d_alpha = _wrap_angle(t12 - c12)
+    d_beta = _wrap_angle(t34 - c34)
+    if 2.0 * math.sin(d) <= tol:
         # Circle case.  Ry(q0, g) rotates the (x1, x2) plane by g/2 and the
         # (x3, x4) plane by -g/2; only the populated plane is matched, and the
         # other one, of radius sin d, moves the result by at most 2 sin d.
-        if math.hypot(cb.x3, cb.x4) >= math.hypot(cb.x1, cb.x2):
-            dtheta = _wrap_angle(math.atan2(tb.x4, tb.x3) - math.atan2(cb.x4, cb.x3))
-            gate = Gate.ry(0, _wrap_angle(-2.0 * dtheta))
-        else:
-            dtheta = _wrap_angle(math.atan2(tb.x2, tb.x1) - math.atan2(cb.x2, cb.x1))
-            gate = Gate.ry(0, _wrap_angle(2.0 * dtheta))
-        return Circuit(prefix + (gate,))
+        return Circuit(prefix + (Gate.ry(0, _wrap_angle(-2.0 * d_beta if v34 else 2.0 * d_alpha)),))
     # Common torus: rotate the (x1, x2) plane by s + t and (x3, x4) by t - s.
-    d_alpha = _wrap_angle(math.atan2(tb.x2, tb.x1) - math.atan2(cb.x2, cb.x1))
-    d_beta = _wrap_angle(math.atan2(tb.x4, tb.x3) - math.atan2(cb.x4, cb.x3))
     # The other mod-2pi branch, (s + pi, t + pi), wraps to the same angles.
     s = (d_alpha - d_beta) / 2.0
     t = (d_alpha + d_beta) / 2.0
@@ -167,8 +163,7 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
     circuit = Circuit(into.gates + (Gate.cz(),) + out_of.gates)
     if swapped:
         circuit = circuit.inverse()
-    residual = sign_residual(apply(circuit, source), target)
-    return ConnectionPlan(circuit, mid, 1, residual)
+    return ConnectionPlan(circuit, mid, residual(circuit, source, target))
 
 
 def _arg(re: float, im: float) -> float:

@@ -320,6 +320,15 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["classify", "--seed", "3", "1", "0", "0", "0"], ["prepare", "--format", "csv", "1", "0", "0", "0"]]
+    )
+    def test_option_of_another_subcommand_rejected(self, argv):
+        # --seed belongs to sample and --format to mesh; elsewhere they would be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_prepare_residual_verified_against_simulator(self, capsys):
         # the reported residual is exactly the simulator's, not a recomputation
         _, out, _ = run_cli(capsys, "prepare", "0", "0", "1", "0")
@@ -327,3 +336,16 @@ class TestParser:
         state = RealState(0, 0, 1, 0)
         circ = prepare(state)
         assert data["residual"] == sign_residual(apply(circ, RealState(1, 0, 0, 0)), state)
+
+
+GOLDEN = [json.loads(line) for line in (Path(__file__).parent / "cli_golden.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["command"])
+def test_golden_stdout(case, capsys, monkeypatch):
+    # Exact stdout of classify, prepare and connect on the boundary strata and
+    # on every connect branch; see cli_golden.jsonl for the inputs.
+    monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
+    code, out, _ = run_cli(capsys, case["command"])
+    assert code == 0
+    assert out == case["stdout"]

@@ -124,6 +124,18 @@ class TestClassify:
             delta = s.w1 * s.w4 - s.w2 * s.w3
             assert (delta > 0) == (sheet == "V34")
 
+    def test_sheet_agrees_with_torus_angles(self, rng):
+        # Product states: w1*w4 - w2*w3 often rounds to exactly 0 while the
+        # computed d misses pi/4, so class_tol = 0 calls them generic.
+        states = [RealState(0.13742099868349344, -0.08208131572632066, 0.8474448095753379, -0.5061772628766396)]
+        for a, b in rng.uniform(0.0, TWO_PI, size=(2000, 2)):
+            ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+            states.append(RealState(ca * cb, ca * sb, sa * cb, sa * sb))
+        generic = [s for s in states if classify(s, class_tol=0.0).kind == "generic"]
+        assert len(generic) > 1
+        for s in generic:
+            assert classify(s, class_tol=0.0).sheet == torus_angles(s).sheet, s
+
     def test_class_tol_widens_boundaries(self):
         s = parametrize(TorusPoint(PI4 - 1e-6, 0.3, 0.9, "V34"))
         assert classify(s).kind == "generic"
