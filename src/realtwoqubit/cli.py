@@ -18,17 +18,27 @@ from .geometry import (
     entropy_from_concurrence,
     mesh_to_csv,
     mesh_to_json,
-    orbit_mesh,
     sample_orbit_states,
 )
 from .states import DEFAULT_TOL, RealState, concurrence, to_bell
 from .synthesis import OrbitMismatchError, cz_connect, local_connect, prepare, residual
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse reads only -N and -N.N as negative numbers and takes -4e-09 for an option;
+    # here every token float() accepts is a value, as on stdin.  Subparsers inherit the class.
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance (default 1e-10)")
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="realtwoqubit",
         description="Orbit classification and circuit synthesis for real-amplitude two-qubit states.",
     )
@@ -123,13 +133,13 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    points = orbit_mesh(args.d, args.na, args.nb)
-    text = mesh_to_csv(points) if args.format == "csv" else mesh_to_json(args.d, points)
+    # The writers check the request when called, so a bad one opens no --out and writes nothing.
+    chunks = (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -144,16 +144,18 @@ def intersection_state(d0: float, d1: float) -> RealState:
 def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
     """Join any two states with local gates and at most one CZ.
 
-    Same orbit delegates to local_connect (cz_count 0).  Otherwise the plan
-    runs locally from the higher-d endpoint to the CZ preimage of the
-    intersection state, applies CZ, and runs locally to the lower-d endpoint;
-    when the source is the lower one the whole circuit is inverted, so the
-    reported intermediate is the intersection state either way.
+    Same orbit gets local_connect's plan (cz_count 0), minus its orbit check,
+    which cannot fail here.  Otherwise the plan runs locally from the higher-d
+    endpoint to the CZ preimage of the intersection state, applies CZ, and
+    runs locally to the lower-d endpoint; when the source is the lower one the
+    whole circuit is inverted, so the reported intermediate is the
+    intersection state either way.
     """
     d_s = entanglement_distance(source)
     d_t = entanglement_distance(target)
     if abs(d_s - d_t) <= tol:
-        return local_connect(source, target, tol)
+        circuit = _leg(source, target, tol)
+        return ConnectionPlan(circuit, None, residual(circuit, source, target))
     swapped = d_s < d_t
     hi, lo = (target, source) if swapped else (source, target)
     mid = intersection_state(max(d_s, d_t), min(d_s, d_t))

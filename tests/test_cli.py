@@ -1,5 +1,6 @@
 """CLI behavior: golden equivalence with the library, exit codes, batch stdin."""
 
+import hashlib
 import io
 import json
 import math
@@ -214,6 +215,9 @@ class TestConnect:
         assert json.loads(out)["cz_count"] == 0
 
 
+MESH_GOLDEN = [json.loads(line) for line in (Path(__file__).parent / "mesh_golden.jsonl").read_text().splitlines()]
+
+
 class TestMesh:
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mesh", "--d", "0", "--na", "4", "--nb", "8", "--format", "csv")
@@ -247,6 +251,29 @@ class TestMesh:
     def test_grid_validation(self, capsys):
         code, _, _ = run_cli(capsys, "mesh", "--d", "0.3", "--na", "1")
         assert code == 2
+
+    def test_bad_request_writes_nothing(self, capsys, tmp_path):
+        # The output is streamed, so the request must be checked before the first byte.
+        for argv in (["--d", "0.3", "--na", "1", "--format", "csv"], ["--d", "1.0"]):
+            assert run_cli(capsys, "mesh", *argv)[:2] == (2, "")
+        path = tmp_path / "mesh.json"
+        path.write_text("kept")
+        assert run_cli(capsys, "mesh", "--d", "1.0", "--out", str(path))[:2] == (2, "")
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize("case", MESH_GOLDEN, ids=lambda c: f"{c['d']}-{c['na']}x{c['nb']}-{c['format']}")
+    def test_golden_stdout(self, case, capsys):
+        argv = [f"--d={case['d']}", "--na", str(case["na"]), "--nb", str(case["nb"]), "--format", case["format"]]
+        code, out, _ = run_cli(capsys, "mesh", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+    def test_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["mesh", "--d", "0.3", "--na", "7", "--nb", "9", "--format", "json"]
+        _, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "mesh.json"
+        assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_text() == out
 
 
 def test_numpy_stays_unloaded_until_sample():
@@ -328,6 +355,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("classify", ["0.6", "0.8", "3e-09", "-4e-09"]),
+            ("connect", ["0.6", "0.8", "3e-09", "-4e-09", "-1E-3", "0.6", "-8e-1", "0"]),
+        ],
+    )
+    def test_negative_scientific_notation_on_argv(self, command, values, capsys, monkeypatch):
+        # argv takes the same numbers as stdin; argparse alone reads -4e-09 as an option.
+        code, out, err = run_cli(capsys, command, *values)
+        assert code == 0, err
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(values) + "\n"))
+        assert run_cli(capsys, command) == (0, out, "")
 
     def test_prepare_residual_verified_against_simulator(self, capsys):
         # the reported residual is exactly the simulator's, not a recomputation

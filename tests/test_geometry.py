@@ -329,7 +329,7 @@ class TestOrbitMesh:
 
     def test_csv_rendering(self):
         points = orbit_mesh(math.pi / 6, 4, 4)
-        text = mesh_to_csv(points)
+        text = "".join(mesh_to_csv(math.pi / 6, 4, 4))
         lines = text.strip().split("\n")
         assert lines[0] == "u1,u2,u3,d,sheet"
         assert len(lines) == len(points) + 1
@@ -341,7 +341,7 @@ class TestOrbitMesh:
 
     def test_dict_rendering(self):
         points = orbit_mesh(0.0, 4, 4)
-        data = json.loads(mesh_to_json(0.0, points))
+        data = json.loads("".join(mesh_to_json(0.0, 4, 4)))
         assert data["d"] == 0.0
         assert len(data["points"]) == len(points)
         assert set(data["points"][0]) == {"u", "sheet"}
@@ -380,16 +380,18 @@ class TestMeshWriters:
     def test_writers_match_reference_renderings(self, d, n_a, n_b):
         points = orbit_mesh(d, n_a, n_b)
         rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
-        assert mesh_to_csv(points) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+        assert "".join(mesh_to_csv(d, n_a, n_b)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
         data = {"d": d, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
-        assert mesh_to_json(d, points) == json.dumps(data) + "\n"
+        assert "".join(mesh_to_json(d, n_a, n_b)) == json.dumps(data) + "\n"
 
     def test_writers_keep_signed_zeros(self):
-        points = [MeshPoint(0.0, -0.0, 0.5, -0.0, "V34"), MeshPoint(-0.0, 0.0, 0.5, 0.0, "V12")]
-        assert mesh_to_csv(points) == "u1,u2,u3,d,sheet\n0.0,-0.0,0.5,-0.0,V34\n-0.0,0.0,0.5,0.0,V12\n"
-        assert mesh_to_json(-0.0, points) == json.dumps(
-            {"d": -0.0, "points": [{"u": [0.0, -0.0, 0.5], "sheet": "V34"}, {"u": [-0.0, 0.0, 0.5], "sheet": "V12"}]}
-        ) + "\n"
+        # The d = -0.0 circle pair: the d column and "d" keep their sign, the circle zeros stay 0.0.
+        circle = [(1.0, 0.0), (-1.0, 1.2246467991473532e-16)]
+        rows = ["0.0,0.0,1.0,-0.0,V34", "0.0,0.0,-1.0,-0.0,V34"] + [f"{c!r},{s!r},0.0,-0.0,V12" for c, s in circle]
+        assert "".join(mesh_to_csv(-0.0, 2, 2)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+        points = [{"u": [0.0, 0.0, 1.0], "sheet": "V34"}, {"u": [0.0, 0.0, -1.0], "sheet": "V34"}]
+        points += [{"u": [c, s, 0.0], "sheet": "V12"} for c, s in circle]
+        assert "".join(mesh_to_json(-0.0, 2, 2)) == json.dumps({"d": -0.0, "points": points}) + "\n"
 
 
 class TestSampling:
