@@ -4,15 +4,18 @@ Subcommands: classify, prepare, connect, mesh, sample.  All numeric work
 happens in the library; this layer only parses arguments, shuttles JSON/CSV,
 and maps errors to exit codes (0 ok, 2 malformed input, 3 orbit mismatch
 under --local-only).  States can also be piped on stdin, one
-whitespace-separated state per line, for batch runs.
+whitespace-separated state per line, for batch runs; an error on a stdin
+line names its line number.  Each input state is validated once, as it is
+read; the work then runs on plain 4-tuples, and each record is one f-string
+of reprs, byte for byte what json.dumps writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .gates import _CZ
 from .geometry import (
     classify,
     entropy_from_concurrence,
@@ -20,8 +23,8 @@ from .geometry import (
     mesh_to_json,
     sample_orbit_states,
 )
-from .states import DEFAULT_TOL, RealState, concurrence, to_bell
-from .synthesis import OrbitMismatchError, cz_connect, local_connect, prepare, residual
+from .states import DEFAULT_TOL, _to_bell, _unit, concurrence
+from .synthesis import OrbitMismatchError, _cz_connect, _local_connect, _prepare, residual
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -45,17 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common], help="orbit class, distance, entropy and Bell coordinates")
-    p.add_argument("state", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
-    p.set_defaults(func=_cmd_classify)
+    p.add_argument("values", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
+    p.set_defaults(func=_cmd_records, record=_classify_record, per_line=4)
 
     p = sub.add_parser("prepare", parents=[common], help="preparation circuit from |00>")
-    p.add_argument("state", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
-    p.set_defaults(func=_cmd_prepare)
+    p.add_argument("values", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
+    p.set_defaults(func=_cmd_records, record=_prepare_record, per_line=4)
 
     p = sub.add_parser("connect", parents=[common], help="circuit taking the source state to the target state")
-    p.add_argument("states", nargs="*", type=float, metavar="W", help="eight numbers: source then target (omit to read lines from stdin)")
+    p.add_argument("values", nargs="*", type=float, metavar="W", help="eight numbers: source then target (omit to read lines from stdin)")
     p.add_argument("--local-only", action="store_true", help="refuse to use CZ; exit 3 if the orbits differ")
-    p.set_defaults(func=_cmd_connect)
+    p.set_defaults(func=_cmd_records, record=_connect_record, per_line=8)
 
     p = sub.add_parser("mesh", parents=[common], help="sample an orbit into the unit ball")
     p.add_argument("--d", type=float, required=True, help="orbit distance in [0, pi/4]")
@@ -74,61 +77,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _states_from_values(values: list[float], per_line: int):
+def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
     if len(values) != per_line:
         raise ValueError(f"expected {per_line} numbers, got {len(values)}")
-    return [RealState.from_vector(values[i : i + 4]) for i in range(0, per_line, 4)]
+    return [_unit(*values[i : i + 4]) for i in range(0, per_line, 4)]
 
 
 def _input_batches(args_values: list[float], per_line: int):
-    """Yield lists of states, one per input: argv values or stdin lines."""
+    """Yield lists of unit 4-tuples, one per input: argv values or stdin lines."""
     if args_values:
         yield _states_from_values(args_values, per_line)
         return
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(sys.stdin, 1):
+        tokens = line.split()
+        if not tokens:
             continue
         try:
-            values = [float(tok) for tok in line.split()]
+            try:
+                values = list(map(float, tokens))
+            except ValueError:
+                raise ValueError(f"malformed input line {line.strip()!r}") from None
+            states = _states_from_values(values, per_line)
         except ValueError as exc:
-            raise ValueError(f"malformed input line {line!r}") from exc
-        yield _states_from_values(values, per_line)
+            raise ValueError(f"line {number}: {exc}") from None
+        yield states
 
 
-def _classify_report(state: RealState) -> dict:
+#: The JSON of each gate without an angle.
+_FIXED_GATE_JSON = {
+    ("cz", None, None): '{"kind": "cz"}',
+    ("x", 0, None): '{"kind": "x", "qubit": 0}',
+    ("x", 1, None): '{"kind": "x", "qubit": 1}',
+}
+
+_ZERO = (1.0, 0.0, 0.0, 0.0)
+
+
+def _gates_json(gates) -> str:
+    texts = (_FIXED_GATE_JSON.get(g) or f'{{"kind": "ry", "qubit": {g[1]}, "angle": {g[2]!r}}}' for g in gates)
+    return f"[{', '.join(texts)}]"
+
+
+def _classify_record(args, state: tuple) -> str:
     orbit = classify(state)
-    coords = to_bell(state)
+    x1, x2, x3, x4 = _to_bell(state)
     c = concurrence(state)
-    return {
-        "d": orbit.d,
-        # From C rather than d: near the product torus d has too few digits.
-        "entropy": entropy_from_concurrence(c),
-        "class": orbit.kind,
-        "sheet": orbit.sheet,
-        "bell": [coords.x1, coords.x2, coords.x3, coords.x4],
-        "concurrence": c,
-    }
+    # The entropy comes from C rather than d: near the product torus d has too few digits.
+    return (
+        f'{{"d": {orbit.d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{orbit.kind}", '
+        f'"sheet": "{orbit.sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
+    )
 
 
-def _cmd_classify(args) -> int:
-    for (state,) in _input_batches(args.state, 4):
-        print(json.dumps(_classify_report(state)))
-    return 0
+def _prepare_record(args, state: tuple) -> str:
+    gates = _prepare(state)
+    return f'{{"gates": {_gates_json(gates)}, "residual": {residual(gates, _ZERO, state)!r}}}\n'
 
 
-def _cmd_prepare(args) -> int:
-    zero = RealState(1.0, 0.0, 0.0, 0.0)
-    for (state,) in _input_batches(args.state, 4):
-        circuit = prepare(state)
-        print(json.dumps({**circuit.to_dict(), "residual": residual(circuit, zero, state)}))
-    return 0
+def _connect_record(args, source: tuple, target: tuple) -> str:
+    gates, mid, res = (_local_connect if args.local_only else _cz_connect)(source, target, args.tol)
+    intermediate = "null" if mid is None else f'{{"w": [{mid[0]!r}, {mid[1]!r}, {mid[2]!r}, {mid[3]!r}]}}'
+    return (
+        f'{{"gates": {_gates_json(gates)}, "intermediate": {intermediate}, '
+        f'"cz_count": {gates.count(_CZ)}, "residual": {res!r}}}\n'
+    )
 
 
-def _cmd_connect(args) -> int:
-    for src, tgt in _input_batches(args.states, 8):
-        plan = local_connect(src, tgt, args.tol) if args.local_only else cz_connect(src, tgt, args.tol)
-        print(json.dumps(plan.to_dict()))
+def _cmd_records(args) -> int:
+    # classify, prepare and connect: one JSON line per input, written as soon as it is made.
+    sys.stdout.writelines(args.record(args, *states) for states in _input_batches(args.values, args.per_line))
     return 0
 
 
@@ -144,6 +161,8 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    import json
+
     import numpy as np
 
     rng = np.random.default_rng(args.seed)

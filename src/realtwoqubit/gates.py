@@ -13,6 +13,17 @@ from typing import Iterator
 
 _KINDS = ("ry", "x", "cz")
 
+# Inside the package a gate is the plain tuple (kind, qubit, angle) of a Gate's fields,
+# and a Gate iterates over them, so code that reads gates takes either form.
+_CZ = ("cz", None, None)
+_X0 = ("x", 0, None)
+
+
+def _inverse(gate: tuple) -> tuple:
+    # X and CZ are involutions; Ry inverts by negating the angle.
+    kind, qubit, angle = gate
+    return (kind, qubit, -angle) if kind == "ry" else gate
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -49,11 +60,11 @@ class Gate:
     def cz(cls) -> "Gate":
         return cls("cz")
 
+    def __iter__(self) -> Iterator:
+        return iter((self.kind, self.qubit, self.angle))
+
     def inverse(self) -> "Gate":
-        # X and CZ are involutions; Ry inverts by negating the angle.
-        if self.kind == "ry":
-            return Gate.ry(self.qubit, -self.angle)
-        return self
+        return Gate(*_inverse(self))
 
     def to_dict(self) -> dict:
         if self.kind == "cz":

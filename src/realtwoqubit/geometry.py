@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .gates import Circuit, Gate
 from .simulator import apply, ry_matrix, ry_matrix_deriv
-from .states import BellCoords, RealState, from_bell, on_v34_side, to_bell
+from .states import BellCoords, RealState, _to_bell, from_bell, on_v34_side
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,9 +103,10 @@ def _checked_distance(d: float) -> float:
 
 def _chart(state: RealState) -> tuple[float, float, float]:
     """d and the angles of the state in the (x1, x2) and (x3, x4) planes, from one Bell change."""
-    x = to_bell(state)
-    r12, r34 = math.hypot(x.x1, x.x2), math.hypot(x.x3, x.x4)
-    return math.atan2(min(r12, r34), max(r12, r34)), math.atan2(x.x2, x.x1), math.atan2(x.x4, x.x3)
+    x1, x2, x3, x4 = _to_bell(state)
+    r12, r34 = math.hypot(x1, x2), math.hypot(x3, x4)
+    d = math.atan2(r12, r34) if r12 <= r34 else math.atan2(r34, r12)
+    return d, math.atan2(x2, x1), math.atan2(x4, x3)
 
 
 def entanglement_distance(state: RealState) -> float:
@@ -240,9 +241,13 @@ def immersion_defect(state: RealState, s: float, t: float) -> float:
     return abs(surface_gram_det(state, s, t) - target)
 
 
-def _angle_grid(n: int) -> tuple[list[float], list[float]]:
-    """cos t and sin t at t = 2 pi i / n, i = 0 .. n-1."""
-    angles = [TWO_PI * i / n for i in range(n)]
+#: The d = 0 circles are walked this many angles at a time, so a long circle never makes a long row.
+_CIRCLE_CHUNK = 512
+
+
+def _angle_grid(n: int, indices: range) -> tuple[list[float], list[float]]:
+    """cos t and sin t at t = 2 pi i / n for i in indices."""
+    angles = [TWO_PI * i / n for i in indices]
     return list(map(math.cos, angles)), list(map(math.sin, angles))
 
 
@@ -254,24 +259,36 @@ def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
 
 
 def _mesh_rows(d: float, n_a: int, n_b: int, conv: Callable[[float], object]) -> Iterator[list[tuple]]:
-    """The (u1, u2, u3, sheet) of the mesh points, one non-empty list per grid row, for a checked grid.
+    """The (u1, u2, u3, sheet) of the mesh points, one non-empty list per row, for a checked grid.
 
     Every orbit is a product of two circles in the Bell planes, so each
     coordinate is an entry of a per-angle table: the trigonometry runs once
-    per grid angle, and `conv` once per table entry, not once per point.
+    per grid angle, and `conv` once per table entry, not once per point.  A
+    row is one grid row of a torus, or at most _CIRCLE_CHUNK angles of a
+    d = 0 circle, whose table is made per chunk.
     """
-    cos_b, sin_b = _angle_grid(n_b)
     if d <= _DOMAIN_SLACK:
-        zero, circle = conv(0.0), list(map(conv, cos_b))
-        # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps half of it.
-        yield [(zero, zero, c, SHEET_V34) for c, s in zip(circle, sin_b) if s >= 0.0]
-        # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
-        yield [(c, conv(s), zero, SHEET_V12) for c, s in zip(circle, sin_b)]
+        zero = conv(0.0)
+
+        def chunks():
+            # Each circle is walked on its own, one chunk's table at a time.
+            for i in range(0, n_b, _CIRCLE_CHUNK):
+                yield _angle_grid(n_b, range(i, min(i + _CIRCLE_CHUNK, n_b)))
+
+        for cos_b, sin_b in chunks():
+            # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps half of it.
+            row = [(zero, zero, conv(c), SHEET_V34) for c, s in zip(cos_b, sin_b) if s >= 0.0]
+            if row:
+                yield row
+        for cos_b, sin_b in chunks():
+            # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
+            yield [(conv(c), conv(s), zero, SHEET_V12) for c, s in zip(cos_b, sin_b)]
         return
+    cos_b, sin_b = _angle_grid(n_b, range(n_b))
     sd, cd = math.sin(d), math.cos(d)
     # The (x1, x2) circle of radius sin d and the (x3, x4) circle of radius
     # cos d, with the sign test of each circle's second coordinate.
-    small = [(conv(sd * c), conv(sd * s), s >= 0.0) for c, s in zip(*_angle_grid(n_a))]
+    small = [(conv(sd * c), conv(sd * s), s >= 0.0) for c, s in zip(*_angle_grid(n_a, range(n_a)))]
     large = [(conv(cd * c), conv(cd * s), s >= 0.0) for c, s in zip(cos_b, sin_b)]
     if abs(d - QUARTER_PI) <= _DOMAIN_SLACK:
         large_upper = [b1 for b1, _, b_up in large if b_up]

@@ -22,7 +22,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .gates import Circuit, Gate
-from .states import RealState
+from .states import RealState, _unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,24 +64,28 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return _lift(ry_matrix(gate.angle), gate.qubit)
 
 
-def apply(circuit: Circuit, state: RealState) -> RealState:
-    """Run the circuit gate by gate, left to right."""
-    w1, w2, w3, w4 = state.w1, state.w2, state.w3, state.w4
-    for gate in circuit:
-        if gate.kind == "cz":
+def _apply(gates, state) -> tuple:
+    w1, w2, w3, w4 = state
+    for kind, qubit, angle in gates:
+        if kind == "cz":
             w4 = -w4
-        elif gate.kind == "x":
-            if gate.qubit == 0:
+        elif kind == "x":
+            if qubit == 0:
                 w1, w2, w3, w4 = w3, w4, w1, w2
             else:
                 w1, w2, w3, w4 = w2, w1, w4, w3
         else:
-            c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-            if gate.qubit == 0:
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+            if qubit == 0:
                 w1, w2, w3, w4 = c * w1 - s * w3, c * w2 - s * w4, s * w1 + c * w3, s * w2 + c * w4
             else:
                 w1, w2, w3, w4 = c * w1 - s * w2, s * w1 + c * w2, c * w3 - s * w4, s * w3 + c * w4
-    return RealState(w1, w2, w3, w4)
+    return _unit(w1, w2, w3, w4)
+
+
+def apply(circuit: Circuit, state: RealState) -> RealState:
+    """Run the circuit gate by gate, left to right."""
+    return RealState._wrap(_apply(circuit, state))
 
 
 def reduced_density_matrix(state: RealState, qubit: int = 0) -> np.ndarray:

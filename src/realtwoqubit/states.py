@@ -10,6 +10,12 @@ an orthonormal basis of the real span, so the coordinate change is the
 orthogonal matrix with these rows.  States that differ only by a global sign
 are physically identical; nothing here canonicalizes the sign, and the
 equality predicate compares up to +-1 explicitly.
+
+Inside the package a state is the plain 4-tuple of its amplitudes, validated
+once by `_unit` where it is made: from input, by the Bell change or by a
+circuit.  A RealState or BellCoords iterates over its four values, so every
+function that only reads a state takes either form; the functions that
+return one wrap the tuple without checking it again.
 """
 
 from __future__ import annotations
@@ -31,6 +37,19 @@ NORM_SLACK = 1e-6
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+_BELL_NOUN = "Bell coordinate"
+
+
+def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tuple[float, float, float, float]:
+    """The one validation of a 4-vector: finite, norm within NORM_SLACK of 1, divided by its norm."""
+    norm = math.sqrt(a * a + b * b + c * c + d * d)
+    # A non-finite component makes the norm inf or nan, and nan fails every comparison.
+    if not abs(norm - 1.0) < NORM_SLACK:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise ValueError(f"{noun} components must be finite, got {(a, b, c, d)}")
+        raise ValueError(f"{noun} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
+    return a / norm, b / norm, c / norm, d / norm
+
 
 class _UnitVector:
     """The body RealState and BellCoords share: four finite floats of unit norm.
@@ -41,19 +60,26 @@ class _UnitVector:
     """
 
     def __post_init__(self):
-        a, b, c, d = map(float, self._values(self))
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise ValueError(f"{self._noun} components must be finite, got {(a, b, c, d)}")
-        norm = math.sqrt(a * a + b * b + c * c + d * d)
-        if abs(norm - 1.0) >= NORM_SLACK:
-            raise ValueError(f"{self._noun} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
+        self._set(_unit(*map(float, self._values(self)), self._noun))
+
+    def _set(self, values) -> None:
         # Field by field: touching __dict__ would take the fields out of
         # CPython's inline attribute storage and slow every later read.
         n1, n2, n3, n4 = self.__dataclass_fields__
-        object.__setattr__(self, n1, a / norm)
-        object.__setattr__(self, n2, b / norm)
-        object.__setattr__(self, n3, c / norm)
-        object.__setattr__(self, n4, d / norm)
+        object.__setattr__(self, n1, values[0])
+        object.__setattr__(self, n2, values[1])
+        object.__setattr__(self, n3, values[2])
+        object.__setattr__(self, n4, values[3])
+
+    @classmethod
+    def _wrap(cls, values):
+        """An instance holding a 4-tuple _unit returned, not checked or divided again."""
+        self = object.__new__(cls)
+        self._set(values)
+        return self
+
+    def __iter__(self):
+        return iter(self._values(self))
 
     @classmethod
     def from_vector(cls, vec):
@@ -95,7 +121,7 @@ class BellCoords(_UnitVector):
     """Coordinates (x1, x2, x3, x4) of a state in the Bell basis v1..v4."""
 
     _key = "x"
-    _noun = "Bell coordinate"
+    _noun = _BELL_NOUN
     _values = attrgetter("x1", "x2", "x3", "x4")
 
     x1: float
@@ -104,14 +130,24 @@ class BellCoords(_UnitVector):
     x4: float
 
 
+def _to_bell(state) -> tuple:
+    w1, w2, w3, w4 = state
+    x = (w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2
+    return _unit(*x, _BELL_NOUN)
+
+
+def _from_bell(coords) -> tuple:
+    x1, x2, x3, x4 = coords
+    return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
+
+
 def to_bell(state: RealState) -> BellCoords:
     """Bell coordinates of a state.
 
     x1 = (w1 - w4)/sqrt(2), x2 = (w2 + w3)/sqrt(2),
     x3 = (w1 + w4)/sqrt(2), x4 = (w2 - w3)/sqrt(2).
     """
-    w1, w2, w3, w4 = state.w1, state.w2, state.w3, state.w4
-    return BellCoords((w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2)
+    return BellCoords._wrap(_to_bell(state))
 
 
 def from_bell(coords: BellCoords) -> RealState:
@@ -120,8 +156,7 @@ def from_bell(coords: BellCoords) -> RealState:
     w1 = (x1 + x3)/sqrt(2), w2 = (x2 + x4)/sqrt(2),
     w3 = (x2 - x4)/sqrt(2), w4 = (x3 - x1)/sqrt(2).
     """
-    x1, x2, x3, x4 = coords.x1, coords.x2, coords.x3, coords.x4
-    return RealState((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
+    return RealState._wrap(_from_bell(coords))
 
 
 def bell_basis_state(index: int) -> RealState:
@@ -133,9 +168,10 @@ def bell_basis_state(index: int) -> RealState:
     return from_bell(BellCoords(*x))
 
 
-def _minor(state: RealState) -> float:
+def _minor(state) -> float:
     # (r34^2 - r12^2)/2 in terms of the Bell-plane radii: half of +-cos 2d.
-    return state.w1 * state.w4 - state.w2 * state.w3
+    w1, w2, w3, w4 = state
+    return w1 * w4 - w2 * w3
 
 
 def concurrence(state: RealState) -> float:
@@ -154,10 +190,9 @@ def on_v34_side(state: RealState) -> bool:
 
 def sign_residual(a: RealState, b: RealState) -> float:
     """min(||a - b||, ||a + b||), the distance between states ignoring the global sign."""
-    return min(
-        math.hypot(a.w1 - b.w1, a.w2 - b.w2, a.w3 - b.w3, a.w4 - b.w4),
-        math.hypot(a.w1 + b.w1, a.w2 + b.w2, a.w3 + b.w3, a.w4 + b.w4),
-    )
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    return min(math.hypot(a1 - b1, a2 - b2, a3 - b3, a4 - b4), math.hypot(a1 + b1, a2 + b2, a3 + b3, a4 + b4))
 
 
 def states_equal_up_to_sign(a: RealState, b: RealState, tol: float = DEFAULT_TOL) -> bool:

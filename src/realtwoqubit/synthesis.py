@@ -24,14 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import Circuit, Gate
-from .geometry import _DOMAIN_SLACK, _chart, entanglement_distance
-from .simulator import apply
+from .gates import _CZ, _X0, Circuit, Gate, _inverse
+from .geometry import _DOMAIN_SLACK, _chart
+from .simulator import _apply
 from .states import (
+    _BELL_NOUN,
     DEFAULT_TOL,
-    BellCoords,
     RealState,
-    from_bell,
+    _from_bell,
+    _unit,
     on_v34_side,
     sign_residual,
     states_equal_up_to_sign,
@@ -76,7 +77,13 @@ def _wrap_angle(theta: float) -> float:
 
 def residual(circuit: Circuit, source: RealState, target: RealState) -> float:
     """min(||out - target||, ||out + target||) for out the circuit's output on source."""
-    return sign_residual(apply(circuit, source), target)
+    return sign_residual(_apply(circuit, source), target)
+
+
+def _plan(gates: tuple, intermediate: tuple | None, res: float) -> ConnectionPlan:
+    # The public plan: a Gate per emitted gate, and the intermediate state wrapped as it is.
+    mid = None if intermediate is None else RealState._wrap(intermediate)
+    return ConnectionPlan(Circuit(tuple(Gate(*g) for g in gates)), mid, res)
 
 
 def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
@@ -87,44 +94,48 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
-    circuit = _leg(source, target, tol)
-    d_s, d_t = entanglement_distance(source), entanglement_distance(target)
+    return _plan(*_local_connect(source, target, tol))
+
+
+def _local_connect(source, target, tol: float) -> tuple:
+    chart_s, chart_t = _chart(source), _chart(target)
+    gates = _leg(source, target, tol, chart_s, chart_t)
     # An empty leg means the states are equal within tol, whatever their computed d.
-    if circuit.gates and abs(d_s - d_t) > tol:
+    if gates and abs(chart_s[0] - chart_t[0]) > tol:
         raise OrbitMismatchError(
-            f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d"
+            f"states lie on different orbits (d = {chart_s[0]!r} vs {chart_t[0]!r}); local gates preserve d"
         )
-    return ConnectionPlan(circuit, None, residual(circuit, source, target))
+    return gates, None, residual(gates, source, target)
 
 
-def _leg(source: RealState, target: RealState, tol: float) -> Circuit:
-    """Local circuit from source to a target on its orbit, not yet simulated.
+def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -> tuple:
+    """Local gates from source to a target on its orbit, from both charts, not yet simulated.
 
     The orbit is taken to be the target's: d is not compared, since with a
     tiny tol rounding alone parts the two computed d by more than tol.
     """
     if states_equal_up_to_sign(source, target, tol):
-        return Circuit(())
-    prefix: tuple[Gate, ...] = ()
+        return ()
+    prefix = ()
     v34 = on_v34_side(target)
     if on_v34_side(source) != v34:
         # Opposite sheets: X on qubit 0 maps one torus onto its mirror.
-        prefix = (Gate.x(0),)
-        source = apply(Circuit(prefix), source)
-    _, c12, c34 = _chart(source)
-    d, t12, t34 = _chart(target)
+        prefix = (_X0,)
+        source_chart = _chart(_apply(prefix, source))
+    _, c12, c34 = source_chart
+    d, t12, t34 = target_chart
     d_alpha = _wrap_angle(t12 - c12)
     d_beta = _wrap_angle(t34 - c34)
     if 2.0 * math.sin(d) <= tol:
         # Circle case.  Ry(q0, g) rotates the (x1, x2) plane by g/2 and the
         # (x3, x4) plane by -g/2; only the populated plane is matched, and the
         # other one, of radius sin d, moves the result by at most 2 sin d.
-        return Circuit(prefix + (Gate.ry(0, _wrap_angle(-2.0 * d_beta if v34 else 2.0 * d_alpha)),))
+        return prefix + (("ry", 0, _wrap_angle(-2.0 * d_beta if v34 else 2.0 * d_alpha)),)
     # Common torus: rotate the (x1, x2) plane by s + t and (x3, x4) by t - s.
     # The other mod-2pi branch, (s + pi, t + pi), wraps to the same angles.
     s = (d_alpha - d_beta) / 2.0
     t = (d_alpha + d_beta) / 2.0
-    return Circuit(prefix + (Gate.ry(0, _wrap_angle(2.0 * s)), Gate.ry(1, _wrap_angle(2.0 * t))))
+    return prefix + (("ry", 0, _wrap_angle(2.0 * s)), ("ry", 1, _wrap_angle(2.0 * t)))
 
 
 def intersection_state(d0: float, d1: float) -> RealState:
@@ -135,10 +146,14 @@ def intersection_state(d0: float, d1: float) -> RealState:
     x2^2 + x3^2 = sin^2 d0, x1^2 + x4^2 = cos^2 d0 (CZ image of the d0 torus)
     and x1^2 + x2^2 = sin^2 d1, x3^2 + x4^2 = cos^2 d1 (the d1 torus).
     """
+    return RealState._wrap(_intersection(d0, d1))
+
+
+def _intersection(d0: float, d1: float) -> tuple:
     if not (0.0 <= d1 < d0 <= math.pi / 4.0 + _DOMAIN_SLACK):
         raise ValueError(f"need pi/4 >= d0 > d1 >= 0, got d0 = {d0!r}, d1 = {d1!r}")
     s0, s1 = math.sin(d0), math.sin(d1)
-    return from_bell(BellCoords(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0)))
+    return _from_bell(_unit(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0), _BELL_NOUN))
 
 
 def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
@@ -149,23 +164,27 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
     endpoint to the CZ preimage of the intersection state, applies CZ, and
     runs locally to the lower-d endpoint; when the source is the lower one the
     whole circuit is inverted, so the reported intermediate is the
-    intersection state either way.
+    intersection state either way.  Each endpoint is charted once, for the d
+    comparison and for its leg.
     """
-    d_s = entanglement_distance(source)
-    d_t = entanglement_distance(target)
+    return _plan(*_cz_connect(source, target, tol))
+
+
+def _cz_connect(source, target, tol: float) -> tuple:
+    chart_s, chart_t = _chart(source), _chart(target)
+    d_s, d_t = chart_s[0], chart_t[0]
     if abs(d_s - d_t) <= tol:
-        circuit = _leg(source, target, tol)
-        return ConnectionPlan(circuit, None, residual(circuit, source, target))
+        gates = _leg(source, target, tol, chart_s, chart_t)
+        return gates, None, residual(gates, source, target)
     swapped = d_s < d_t
     hi, lo = (target, source) if swapped else (source, target)
-    mid = intersection_state(max(d_s, d_t), min(d_s, d_t))
-    mid_cz = apply(Circuit((Gate.cz(),)), mid)
-    into = _leg(hi, mid_cz, tol)
-    out_of = _leg(mid, lo, tol)
-    circuit = Circuit(into.gates + (Gate.cz(),) + out_of.gates)
+    chart_hi, chart_lo = (chart_t, chart_s) if swapped else (chart_s, chart_t)
+    mid = _intersection(max(d_s, d_t), min(d_s, d_t))
+    mid_cz = _apply((_CZ,), mid)
+    gates = _leg(hi, mid_cz, tol, chart_hi, _chart(mid_cz)) + (_CZ,) + _leg(mid, lo, tol, _chart(mid), chart_lo)
     if swapped:
-        circuit = circuit.inverse()
-    return ConnectionPlan(circuit, mid, residual(circuit, source, target))
+        gates = tuple(map(_inverse, reversed(gates)))
+    return gates, mid, residual(gates, source, target)
 
 
 def _arg(re: float, im: float) -> float:
@@ -184,9 +203,9 @@ def preparation_angles(target: RealState) -> tuple[float, float, float]:
     near-empty pair keeps its digits; t0 = t3 - t4 and t2 = t3 + t4 realize
     both pair angles with one rotation before and one after the CZ.
     """
-    t3 = _arg(target.w1, target.w2)
-    t4 = _arg(target.w3, target.w4)
-    t1 = 2.0 * math.atan2(math.hypot(target.w3, target.w4), math.hypot(target.w1, target.w2))
+    w1, w2, w3, w4 = target
+    t3, t4 = _arg(w1, w2), _arg(w3, w4)
+    t1 = 2.0 * math.atan2(math.hypot(w3, w4), math.hypot(w1, w2))
     return _wrap_angle(t1), _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
 
 
@@ -196,5 +215,9 @@ def prepare(target: RealState) -> Circuit:
     Exact up to the global sign; the suite's convention test fixes this
     layout as the single consistent one for the simulator's conventions.
     """
+    return Circuit(tuple(Gate(*g) for g in _prepare(target)))
+
+
+def _prepare(target) -> tuple:
     t1, t0, t2 = preparation_angles(target)
-    return Circuit((Gate.ry(0, t1), Gate.ry(1, t0), Gate.cz(), Gate.ry(1, t2)))
+    return ("ry", 0, t1), ("ry", 1, t0), _CZ, ("ry", 1, t2)

@@ -390,3 +390,85 @@ def test_golden_stdout(case, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, case["command"])
     assert code == 0
     assert out == case["stdout"]
+
+
+STREAMS = [json.loads(line) for line in (Path(__file__).parent / "stream_golden.jsonl").read_text().splitlines()]
+
+
+def _replay(case, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
+    return run_cli(capsys, *case["argv"])
+
+
+@pytest.mark.parametrize("case", STREAMS, ids=lambda case: case["argv"][0])
+def test_stream_golden(case, capsys, monkeypatch):
+    # The sha256 of stdout on the benchmark's smoke streams (seed 1), captured
+    # before the plain-float core: every printed bit stays the same.
+    code, out, err = _replay(case, capsys, monkeypatch)
+    assert code == 0, err
+    assert out.count("\n") == case["items"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", STREAMS, ids=lambda case: case["argv"][0])
+def test_validation_stays_at_the_boundary(case, capsys, monkeypatch):
+    # At most one validated state per input state and no Gate beyond the gates
+    # printed: validated objects built in the inner loop fail here.
+    from realtwoqubit.gates import Gate
+    from realtwoqubit.states import _UnitVector
+
+    counts = {"states": 0, "gates": 0}
+
+    def counted(key, original):
+        def post_init(self):
+            counts[key] += 1
+            original(self)
+
+        return post_init
+
+    monkeypatch.setattr(_UnitVector, "__post_init__", counted("states", _UnitVector.__post_init__))
+    monkeypatch.setattr(Gate, "__post_init__", counted("gates", Gate.__post_init__))
+    code, out, err = _replay(case, capsys, monkeypatch)
+    assert code == 0, err
+    states_in = case["items"] * (2 if case["argv"][0] == "connect" else 1)
+    gates_out = sum(len(json.loads(line).get("gates", [])) for line in out.splitlines())
+    assert counts["states"] <= states_in
+    assert counts["gates"] <= gates_out
+
+
+class TestBatchErrors:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1 0 zero 0", "malformed input line '1 0 zero 0'"),
+            ("1 0 0", "expected 4 numbers, got 3"),
+            ("nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
+            ("2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "prepare"])
+    def test_line_numbered(self, command, bad, message, capsys, monkeypatch):
+        # Line 2 is blank and still counts; line 1's record is already written.
+        first = run_cli(capsys, command, "1", "0", "0", "0")[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1 0 0 0\n\n  {bad}\n0 1 0 0\n"))
+        assert run_cli(capsys, command) == (2, first, f"error: line 3: {message}\n")
+
+    def test_connect_line_numbered(self, capsys, monkeypatch):
+        first = run_cli(capsys, "connect", "1", "0", "0", "0", "0", "1", "0", "0")[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0 0 1 0 0\n1 0 0 0 0 1 0\n"))
+        assert run_cli(capsys, "connect") == (2, first, "error: line 2: expected 8 numbers, got 7\n")
+
+    def test_argv_errors_unnumbered(self, capsys):
+        assert run_cli(capsys, "classify", "1", "0", "0") == (2, "", "error: expected 4 numbers, got 3\n")
+        assert run_cli(capsys, "prepare", "0", "0", "0", "0")[2] == (
+            "error: amplitude vector has norm 0.0, not within 1e-06 of 1\n"
+        )
+
+    def test_orbit_mismatch_message_kept(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0 " + " ".join(V3_ARGS) + "\n"))
+        code, out, err = run_cli(capsys, "connect", "--local-only")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: ORBIT_MISMATCH: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
+            "local gates preserve d\n"
+        )

@@ -394,6 +394,26 @@ class TestMeshWriters:
         assert "".join(mesh_to_json(-0.0, 2, 2)) == json.dumps({"d": -0.0, "points": points}) + "\n"
 
 
+class TestCircleChunks:
+    def test_no_circle_row_exceeds_the_chunk(self):
+        # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b.
+        from realtwoqubit.geometry import _CIRCLE_CHUNK, _mesh_rows
+
+        rows = list(_mesh_rows(0.0, 2, 65536, float))
+        assert all(rows)
+        assert max(map(len, rows)) <= _CIRCLE_CHUNK
+        assert sum(map(len, rows)) == 65536 // 2 + 1 + 65536
+
+    def test_chunked_circles_match_per_point_evaluation(self):
+        # 1500 angles leave a short last chunk on both circles.
+        points = orbit_mesh(0.0, 2, 1500)
+        assert points == _per_point_mesh(0.0, 2, 1500)
+        rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
+        assert "".join(mesh_to_csv(0.0, 2, 1500)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+        data = {"d": 0.0, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
+        assert "".join(mesh_to_json(0.0, 2, 1500)) == json.dumps(data) + "\n"
+
+
 class TestSampling:
     def test_states_land_on_requested_orbit(self, rng):
         for d in (0.0, 0.2, math.pi / 6, PI4):

@@ -16,6 +16,7 @@ from realtwoqubit import (
     classify,
     cz_connect,
     entanglement_distance,
+    from_bell,
     intersection_state,
     local_connect,
     parametrize,
@@ -311,3 +312,34 @@ class TestPrepare:
                 assert passing is None, f"both {passing} and {name} pass"
                 passing = name
         assert passing == "t1q0_chain_q1"
+
+
+class TestWrappedResults:
+    """Results wrapped without a second validation are what validation would pass unchanged."""
+
+    @staticmethod
+    def _assert_unit(values):
+        assert all(math.isfinite(v) for v in values)
+        assert abs(math.hypot(*values) - 1.0) <= 4 * 2.0**-52
+
+    def test_unit_norm_on_seeded_states_and_pairs(self, rng):
+        strata = [0.0, 1e-9, PI4 - 1e-8, PI4]
+        for k in range(1000):
+            if k % 5 == 4:
+                d = strata[(k // 5) % len(strata)]
+                sheet = "V34" if rng.random() < 0.5 else "V12"
+                s = parametrize(TorusPoint(d, rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), sheet))
+            else:
+                s = _random_state(rng)
+            t = _random_state(rng)
+            x = to_bell(s)
+            self._assert_unit([x.x1, x.x2, x.x3, x.x4])
+            w = from_bell(x)
+            self._assert_unit([w.w1, w.w2, w.w3, w.w4])
+            gates = [Gate.ry(int(q), float(a)) for q, a in zip(rng.integers(0, 2, 3), rng.uniform(-7, 7, 3))]
+            out = apply(Circuit((*gates, Gate.x(int(rng.integers(0, 2))), Gate.cz())), s)
+            self._assert_unit([out.w1, out.w2, out.w3, out.w4])
+            d_s, d_t = entanglement_distance(s), entanglement_distance(t)
+            if d_s != d_t:
+                mid = intersection_state(max(d_s, d_t), min(d_s, d_t))
+                self._assert_unit([mid.w1, mid.w2, mid.w3, mid.w4])
