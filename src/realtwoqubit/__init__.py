@@ -1,114 +1,42 @@
-"""Orbit geometry and circuit synthesis for two-qubit states with real amplitudes."""
+"""Orbit geometry and circuit synthesis for two-qubit states with real amplitudes.
 
-from .gates import Circuit, Gate
-from .geometry import (
-    DEFAULT_CLASS_TOL,
-    DEGENERATE_SIN_D,
-    GENERIC,
-    MAX_ENTANGLED,
-    PRODUCT,
-    SHEET_BOTH,
-    SHEET_V12,
-    SHEET_V34,
-    DegenerateAngleError,
-    MeshPoint,
-    OrbitClass,
-    TorusPoint,
-    classify,
-    entanglement_distance,
-    entropy_from_concurrence,
-    entropy_from_distance,
-    immersion_defect,
-    mesh_to_csv,
-    mesh_to_json,
-    orbit_mesh,
-    orbit_surface,
-    parametrize,
-    sample_orbit_states,
-    surface_gram_det,
-    torus_angles,
-)
-from .simulator import (
-    apply,
-    entanglement_entropy,
-    gate_matrix,
-    reduced_density_matrix,
-    reduced_eigenvalues,
-    ry_matrix,
-    ry_matrix_deriv,
-)
-from .states import (
-    DEFAULT_TOL,
-    BellCoords,
-    RealState,
-    bell_basis_state,
-    concurrence,
-    from_bell,
-    sign_residual,
-    states_equal_up_to_sign,
-    to_bell,
-)
-from .synthesis import (
-    ConnectionPlan,
-    OrbitMismatchError,
-    cz_connect,
-    intersection_state,
-    local_connect,
-    preparation_angles,
-    prepare,
-)
+Importing the package loads none of its modules: each public name loads the
+module that defines it on first use (PEP 562).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellCoords",
-    "Circuit",
-    "ConnectionPlan",
-    "DEFAULT_CLASS_TOL",
-    "DEFAULT_TOL",
-    "DEGENERATE_SIN_D",
-    "DegenerateAngleError",
-    "GENERIC",
-    "Gate",
-    "MAX_ENTANGLED",
-    "MeshPoint",
-    "OrbitClass",
-    "OrbitMismatchError",
-    "PRODUCT",
-    "RealState",
-    "SHEET_BOTH",
-    "SHEET_V12",
-    "SHEET_V34",
-    "TorusPoint",
-    "apply",
-    "bell_basis_state",
-    "classify",
-    "concurrence",
-    "cz_connect",
-    "entanglement_distance",
-    "entanglement_entropy",
-    "entropy_from_concurrence",
-    "entropy_from_distance",
-    "from_bell",
-    "gate_matrix",
-    "immersion_defect",
-    "intersection_state",
-    "local_connect",
-    "mesh_to_csv",
-    "mesh_to_json",
-    "orbit_mesh",
-    "orbit_surface",
-    "parametrize",
-    "preparation_angles",
-    "prepare",
-    "reduced_density_matrix",
-    "reduced_eigenvalues",
-    "ry_matrix",
-    "ry_matrix_deriv",
-    "sample_orbit_states",
-    "sign_residual",
-    "states_equal_up_to_sign",
-    "surface_gram_det",
-    "to_bell",
-    "torus_angles",
-]
+#: The module that defines each public name.
+_HOME = {
+    name: module
+    for module, names in {
+        "_core": "DEFAULT_CLASS_TOL DEFAULT_TOL GENERIC MAX_ENTANGLED PRODUCT SHEET_BOTH SHEET_V12 SHEET_V34 "
+        "OrbitMismatchError concurrence entropy_from_concurrence mesh_to_csv mesh_to_json preparation_angles "
+        "sign_residual states_equal_up_to_sign",
+        "states": "BellCoords RealState bell_basis_state from_bell to_bell",
+        "gates": "Circuit Gate",
+        "simulator": "apply entanglement_entropy gate_matrix reduced_density_matrix reduced_eigenvalues ry_matrix "
+        "ry_matrix_deriv",
+        "geometry": "DEGENERATE_SIN_D DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
+        "entanglement_distance entropy_from_distance immersion_defect orbit_mesh orbit_surface parametrize "
+        "sample_orbit_states surface_gram_det torus_angles",
+        "synthesis": "ConnectionPlan cz_connect intersection_state local_connect prepare",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -8,23 +8,17 @@ whitespace-separated state per line, for batch runs; an error on a stdin
 line names its line number.  Each input state is validated once, as it is
 read; the work then runs on plain 4-tuples, and each record is one f-string
 of reprs, byte for byte what json.dumps writes.
-"""
 
-from __future__ import annotations
+Only argparse and the plain-float core `_core` are imported at start-up, so
+classify, prepare, connect and mesh load neither dataclasses nor numpy nor
+the object API; `sample` imports `geometry` and numpy when it runs.
+"""
 
 import argparse
 import sys
 
-from .gates import _CZ
-from .geometry import (
-    classify,
-    entropy_from_concurrence,
-    mesh_to_csv,
-    mesh_to_json,
-    sample_orbit_states,
-)
-from .states import DEFAULT_TOL, _to_bell, _unit, concurrence
-from .synthesis import OrbitMismatchError, _cz_connect, _local_connect, _prepare, residual
+from ._core import _CZ, DEFAULT_TOL, OrbitMismatchError, _classify, _cz_connect, _local_connect, _prepare, _to_bell
+from ._core import _unit, concurrence, entropy_from_concurrence, mesh_to_csv, mesh_to_json, residual
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -119,13 +113,13 @@ def _gates_json(gates) -> str:
 
 
 def _classify_record(args, state: tuple) -> str:
-    orbit = classify(state)
-    x1, x2, x3, x4 = _to_bell(state)
+    x1, x2, x3, x4 = bell = _to_bell(state)
+    kind, d, sheet = _classify(state, bell)
     c = concurrence(state)
     # The entropy comes from C rather than d: near the product torus d has too few digits.
     return (
-        f'{{"d": {orbit.d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{orbit.kind}", '
-        f'"sheet": "{orbit.sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
+        f'{{"d": {d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{kind}", '
+        f'"sheet": "{sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
     )
 
 
@@ -164,6 +158,8 @@ def _cmd_sample(args) -> int:
     import json
 
     import numpy as np
+
+    from .geometry import sample_orbit_states
 
     rng = np.random.default_rng(args.seed)
     states = sample_orbit_states(args.d, args.count, rng)

@@ -2,7 +2,9 @@
 
 Gates are plain value objects; the matrices live in `simulator`.  CZ is
 symmetric between the two qubits, so it carries neither qubit nor angle and
-its JSON form is just {"kind": "cz"}.
+its JSON form is just {"kind": "cz"}.  Inside the package a gate is the
+tuple (kind, qubit, angle) of a Gate's fields, as `_core` works on it, and a
+Gate iterates over them, so code that reads gates takes either form.
 """
 
 from __future__ import annotations
@@ -11,18 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from ._core import _CZ, _X0, _inverse
+
 _KINDS = ("ry", "x", "cz")
-
-# Inside the package a gate is the plain tuple (kind, qubit, angle) of a Gate's fields,
-# and a Gate iterates over them, so code that reads gates takes either form.
-_CZ = ("cz", None, None)
-_X0 = ("x", 0, None)
-
-
-def _inverse(gate: tuple) -> tuple:
-    # X and CZ are involutions; Ry inverts by negating the angle.
-    kind, qubit, angle = gate
-    return (kind, qubit, -angle) if kind == "ry" else gate
 
 
 @dataclass(frozen=True)

@@ -17,43 +17,30 @@ labels the orbits:
 
 The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
 apart without computing distances twice (`states.on_v34_side`).
+
+The chart, the classification, the entropy from the concurrence and the mesh
+walk with its text writers are in the plain-float core `_core`, and are
+re-exported here; this module adds the records and the numpy-backed checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from ._core import _CIRCLE_CHUNK, _DOMAIN_SLACK, _LN2, DEFAULT_CLASS_TOL, GENERIC, MAX_ENTANGLED, PRODUCT, QUARTER_PI
+from ._core import SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _angle_grid, _chart, _checked_distance, _checked_grid
+from ._core import _classify, _mesh_rows, _to_bell, entropy_from_concurrence, mesh_to_csv, mesh_to_json, on_v34_side
 from .gates import Circuit, Gate
 from .simulator import apply, ry_matrix, ry_matrix_deriv
-from .states import BellCoords, RealState, _to_bell, from_bell, on_v34_side
+from .states import BellCoords, RealState, from_bell
 
 if TYPE_CHECKING:
     import numpy as np
 
-QUARTER_PI = math.pi / 4.0
-TWO_PI = 2.0 * math.pi
-
-SHEET_V34 = "V34"
-SHEET_V12 = "V12"
-SHEET_BOTH = "BOTH"
-
-MAX_ENTANGLED = "max_entangled"
-GENERIC = "generic"
-PRODUCT = "product"
-
-#: Classification snaps to the orbit-family boundaries within this.
-DEFAULT_CLASS_TOL = 1e-9
-
 #: Below this sin(d) the torus angle `a` is undefined (states on a circle).
 DEGENERATE_SIN_D = 1e-9
-
-#: Slack allowed when validating a distance argument against [0, pi/4].
-_DOMAIN_SLACK = 1e-12
-
-_LN2 = math.log(2.0)
 
 
 class DegenerateAngleError(ValueError):
@@ -94,21 +81,6 @@ class MeshPoint(NamedTuple):
     sheet: str
 
 
-def _checked_distance(d: float) -> float:
-    d = float(d)
-    if not (-_DOMAIN_SLACK <= d <= QUARTER_PI + _DOMAIN_SLACK):
-        raise ValueError(f"distance {d!r} outside [0, pi/4]")
-    return min(max(d, 0.0), QUARTER_PI)
-
-
-def _chart(state: RealState) -> tuple[float, float, float]:
-    """d and the angles of the state in the (x1, x2) and (x3, x4) planes, from one Bell change."""
-    x1, x2, x3, x4 = _to_bell(state)
-    r12, r34 = math.hypot(x1, x2), math.hypot(x3, x4)
-    d = math.atan2(r12, r34) if r12 <= r34 else math.atan2(r34, r12)
-    return d, math.atan2(x2, x1), math.atan2(x4, x3)
-
-
 def entanglement_distance(state: RealState) -> float:
     """Distance to the nearer maximally entangled circle, in [0, pi/4].
 
@@ -128,31 +100,7 @@ def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitCla
     The sheet comes from the sign of w1*w4 - w2*w3: V34 when it is positive
     or zero, V12 when negative.
     """
-    d = entanglement_distance(state)
-    if d <= class_tol:
-        kind = MAX_ENTANGLED
-    elif abs(d - QUARTER_PI) <= class_tol:
-        return OrbitClass(PRODUCT, d, SHEET_BOTH)
-    else:
-        kind = GENERIC
-    return OrbitClass(kind, d, SHEET_V34 if on_v34_side(state) else SHEET_V12)
-
-
-def entropy_from_concurrence(c: float) -> float:
-    """Entanglement entropy (base 2) of a state with concurrence c in [0, 1].
-
-    Binary entropy of p = (1 + sqrt(1 - c^2))/2 (Wootters, PRL 80, 2245
-    (1998)).  The smaller probability is formed as
-    1 - p = c^2 / (2 (1 + sqrt(1 - c^2))) and its complement's logarithm with
-    log1p, so nothing cancels near the product torus, where the entropy is
-    tiny; the 0*log2(0) limit at c = 0 is taken as 0.  Inputs are clamped to
-    [0, 1], absorbing the rounding of a computed concurrence.
-    """
-    c = min(max(c, 0.0), 1.0)
-    q = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
-    if q == 0.0:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log1p(-q) / _LN2
+    return OrbitClass(*_classify(state, _to_bell(state), class_tol))
 
 
 def entropy_from_distance(d: float) -> float:
@@ -241,72 +189,6 @@ def immersion_defect(state: RealState, s: float, t: float) -> float:
     return abs(surface_gram_det(state, s, t) - target)
 
 
-#: The d = 0 circles are walked this many angles at a time, so a long circle never makes a long row.
-_CIRCLE_CHUNK = 512
-
-
-def _angle_grid(n: int, indices: range) -> tuple[list[float], list[float]]:
-    """cos t and sin t at t = 2 pi i / n for i in indices."""
-    angles = [TWO_PI * i / n for i in indices]
-    return list(map(math.cos, angles)), list(map(math.sin, angles))
-
-
-def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
-    d, n_a, n_b = _checked_distance(d), int(n_a), int(n_b)
-    if n_a < 2 or n_b < 2:
-        raise ValueError(f"grid sizes must be at least 2, got ({n_a}, {n_b})")
-    return d, n_a, n_b
-
-
-def _mesh_rows(d: float, n_a: int, n_b: int, conv: Callable[[float], object]) -> Iterator[list[tuple]]:
-    """The (u1, u2, u3, sheet) of the mesh points, one non-empty list per row, for a checked grid.
-
-    Every orbit is a product of two circles in the Bell planes, so each
-    coordinate is an entry of a per-angle table: the trigonometry runs once
-    per grid angle, and `conv` once per table entry, not once per point.  A
-    row is one grid row of a torus, or at most _CIRCLE_CHUNK angles of a
-    d = 0 circle, whose table is made per chunk.
-    """
-    if d <= _DOMAIN_SLACK:
-        zero = conv(0.0)
-
-        def chunks():
-            # Each circle is walked on its own, one chunk's table at a time.
-            for i in range(0, n_b, _CIRCLE_CHUNK):
-                yield _angle_grid(n_b, range(i, min(i + _CIRCLE_CHUNK, n_b)))
-
-        for cos_b, sin_b in chunks():
-            # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps half of it.
-            row = [(zero, zero, conv(c), SHEET_V34) for c, s in zip(cos_b, sin_b) if s >= 0.0]
-            if row:
-                yield row
-        for cos_b, sin_b in chunks():
-            # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
-            yield [(conv(c), conv(s), zero, SHEET_V12) for c, s in zip(cos_b, sin_b)]
-        return
-    cos_b, sin_b = _angle_grid(n_b, range(n_b))
-    sd, cd = math.sin(d), math.cos(d)
-    # The (x1, x2) circle of radius sin d and the (x3, x4) circle of radius
-    # cos d, with the sign test of each circle's second coordinate.
-    small = [(conv(sd * c), conv(sd * s), s >= 0.0) for c, s in zip(*_angle_grid(n_a, range(n_a)))]
-    large = [(conv(cd * c), conv(cd * s), s >= 0.0) for c, s in zip(cos_b, sin_b)]
-    if abs(d - QUARTER_PI) <= _DOMAIN_SLACK:
-        large_upper = [b1 for b1, _, b_up in large if b_up]
-        for a1, a2, _ in small:
-            yield [(a1, a2, b1, SHEET_BOTH) for b1 in large_upper]
-        return
-    for a1, a2, a_up in small:
-        row = []
-        for b1, b2, b_up in large:
-            # V34 sheet: x4 = cos(d) sin(b)
-            if b_up:
-                row.append((a1, a2, b1, SHEET_V34))
-            # V12 sheet: planes swapped, x4 = sin(d) sin(a)
-            if a_up:
-                row.append((b1, b2, a1, SHEET_V12))
-        yield row
-
-
 def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     """Sample the whole orbit at distance d, projected into the unit ball.
 
@@ -319,33 +201,6 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     return [MeshPoint(u1, u2, u3, d, sheet) for row in _mesh_rows(d, n_a, n_b, float) for u1, u2, u3, sheet in row]
-
-
-def mesh_to_csv(d: float, n_a: int, n_b: int) -> Iterator[str]:
-    """orbit_mesh(d, n_a, n_b) as CSV text: the header u1,u2,u3,d,sheet, then one chunk per grid row.
-
-    Numbers in full (repr).  A bad request raises ValueError here, before any text is made.
-    """
-    d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    tail = f",{d!r},"
-    rows = _mesh_rows(d, n_a, n_b, repr)
-    text = ("".join([f"{u1},{u2},{u3}{tail}{sheet}\n" for u1, u2, u3, sheet in row]) for row in rows)
-    return chain(["u1,u2,u3,d,sheet\n"], text)
-
-
-def mesh_to_json(d: float, n_a: int, n_b: int) -> Iterator[str]:
-    """orbit_mesh(d, n_a, n_b) as JSON text {"d": d, "points": [{"u": [u1, u2, u3], "sheet": ...}, ...]}.
-
-    One chunk per grid row.  Joined, byte for byte what json.dumps writes with its default
-    separators for a float d, plus a newline.  A bad request raises ValueError here, as in mesh_to_csv.
-    """
-    checked, n_a, n_b = _checked_grid(d, n_a, n_b)
-    rows = _mesh_rows(checked, n_a, n_b, repr)
-    text = (
-        (", " if i else "") + ", ".join([f'{{"u": [{u1}, {u2}, {u3}], "sheet": "{s}"}}' for u1, u2, u3, s in row])
-        for i, row in enumerate(rows)
-    )
-    return chain([f'{{"d": {d!r}, "points": ['], text, ["]}\n"])
 
 
 def sample_orbit_states(d: float, count: int, rng: np.random.Generator) -> list[RealState]:

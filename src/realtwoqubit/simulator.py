@@ -5,11 +5,12 @@ of the ket, so amplitudes are ordered (|00>, |01>, |10>, |11>) and a gate on
 qubit 0 lifts to kron(M, I).  The convention test in the suite pins this down
 via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
 
-`apply` acts on the four amplitudes in closed form: Ry on qubit 0 rotates the
-pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates (w1, w2) and (w3, w4), X
-swaps the same pairs and CZ negates w4.  `gate_matrix` is the dense Kronecker
-reference the suite checks `apply` against.  The functions that return arrays
-import numpy when called, so running circuits alone never loads it.
+`apply` acts on the four amplitudes in closed form (`_core._apply`): Ry on
+qubit 0 rotates the pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates
+(w1, w2) and (w3, w4), X swaps the same pairs and CZ negates w4.
+`gate_matrix` is the dense Kronecker reference the suite checks `apply`
+against.  The functions that return arrays import numpy when called, so
+running circuits alone never loads it.
 
 This module doubles as the independent entropy route: reduced density
 matrices, their closed-form eigenvalues, and the von Neumann entropy computed
@@ -21,8 +22,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ._core import _apply
 from .gates import Circuit, Gate
-from .states import RealState, _unit
+from .states import RealState
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,25 +64,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "x":
         return _lift(np.array([[0.0, 1.0], [1.0, 0.0]]), gate.qubit)
     return _lift(ry_matrix(gate.angle), gate.qubit)
-
-
-def _apply(gates, state) -> tuple:
-    w1, w2, w3, w4 = state
-    for kind, qubit, angle in gates:
-        if kind == "cz":
-            w4 = -w4
-        elif kind == "x":
-            if qubit == 0:
-                w1, w2, w3, w4 = w3, w4, w1, w2
-            else:
-                w1, w2, w3, w4 = w2, w1, w4, w3
-        else:
-            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-            if qubit == 0:
-                w1, w2, w3, w4 = c * w1 - s * w3, c * w2 - s * w4, s * w1 + c * w3, s * w2 + c * w4
-            else:
-                w1, w2, w3, w4 = c * w1 - s * w2, s * w1 + c * w2, c * w3 - s * w4, s * w3 + c * w4
-    return _unit(w1, w2, w3, w4)
 
 
 def apply(circuit: Circuit, state: RealState) -> RealState:

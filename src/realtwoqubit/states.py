@@ -13,42 +13,24 @@ equality predicate compares up to +-1 explicitly.
 
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
-circuit.  A RealState or BellCoords iterates over its four values, so every
-function that only reads a state takes either form; the functions that
-return one wrap the tuple without checking it again.
+circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
+in the plain-float core `_core` and are re-exported here.  A RealState or
+BellCoords iterates over its four values, so every function that only reads
+a state takes either form; the functions that return one wrap the tuple
+without checking it again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from ._core import _BELL_NOUN, _INV_SQRT2, DEFAULT_TOL, NORM_SLACK, _from_bell, _minor, _to_bell, _unit
+from ._core import concurrence, on_v34_side, sign_residual, states_equal_up_to_sign
+
 if TYPE_CHECKING:
     import numpy as np
-
-#: Default verification tolerance for equality predicates.
-DEFAULT_TOL = 1e-10
-
-#: Construction renormalizes inputs whose norm deviates from 1 by less than
-#: this, and rejects anything worse.
-NORM_SLACK = 1e-6
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-_BELL_NOUN = "Bell coordinate"
-
-
-def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tuple[float, float, float, float]:
-    """The one validation of a 4-vector: finite, norm within NORM_SLACK of 1, divided by its norm."""
-    norm = math.sqrt(a * a + b * b + c * c + d * d)
-    # A non-finite component makes the norm inf or nan, and nan fails every comparison.
-    if not abs(norm - 1.0) < NORM_SLACK:
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise ValueError(f"{noun} components must be finite, got {(a, b, c, d)}")
-        raise ValueError(f"{noun} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
-    return a / norm, b / norm, c / norm, d / norm
 
 
 class _UnitVector:
@@ -130,17 +112,6 @@ class BellCoords(_UnitVector):
     x4: float
 
 
-def _to_bell(state) -> tuple:
-    w1, w2, w3, w4 = state
-    x = (w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2
-    return _unit(*x, _BELL_NOUN)
-
-
-def _from_bell(coords) -> tuple:
-    x1, x2, x3, x4 = coords
-    return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
-
-
 def to_bell(state: RealState) -> BellCoords:
     """Bell coordinates of a state.
 
@@ -166,35 +137,3 @@ def bell_basis_state(index: int) -> RealState:
     x = [0.0, 0.0, 0.0, 0.0]
     x[index - 1] = 1.0
     return from_bell(BellCoords(*x))
-
-
-def _minor(state) -> float:
-    # (r34^2 - r12^2)/2 in terms of the Bell-plane radii: half of +-cos 2d.
-    w1, w2, w3, w4 = state
-    return w1 * w4 - w2 * w3
-
-
-def concurrence(state: RealState) -> float:
-    """2|w1*w4 - w2*w3|: 0 for product states, 1 for maximally entangled ones."""
-    return 2.0 * abs(_minor(state))
-
-
-def on_v34_side(state: RealState) -> bool:
-    """True when w1*w4 - w2*w3 >= 0: the state is at least as close to E(v3, v4) as to E(v1, v2).
-
-    The one sheet test: a zero product, which only the product torus has,
-    counts as V34.
-    """
-    return _minor(state) >= 0.0
-
-
-def sign_residual(a: RealState, b: RealState) -> float:
-    """min(||a - b||, ||a + b||), the distance between states ignoring the global sign."""
-    a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    return min(math.hypot(a1 - b1, a2 - b2, a3 - b3, a4 - b4), math.hypot(a1 + b1, a2 + b2, a3 + b3, a4 + b4))
-
-
-def states_equal_up_to_sign(a: RealState, b: RealState, tol: float = DEFAULT_TOL) -> bool:
-    """True when a equals b or -b within tol."""
-    return sign_residual(a, b) <= tol

@@ -472,3 +472,54 @@ class TestBatchErrors:
             "error: ORBIT_MISMATCH: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
             "local gates preserve d\n"
         )
+
+
+def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
+    # The printed Bell coordinates are the ones d, class and sheet come from.
+    from realtwoqubit import _core, cli
+
+    calls = []
+    original = _core._to_bell
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    for module in (cli, _core):
+        monkeypatch.setattr(module, "_to_bell", counted)
+    case = next(c for c in STREAMS if c["argv"][0] == "classify")
+    code, out, err = _replay(case, capsys, monkeypatch)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    assert len(calls) == case["items"]
+
+
+def test_start_up_imports_only_the_core():
+    # Modules already loaded before the package (by a site hook, say) are not held against it.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from realtwoqubit.cli import main\n"
+        "runs = [\n"
+        "    ['classify', '1', '0', '0', '0'],\n"
+        "    ['prepare', '0.5', '0.5', '0.5', '0.5'],\n"
+        "    ['connect', '1', '0', '0', '0', '0', '0', '0', '1'],\n"
+        "    ['connect', '--local-only', '1', '0', '0', '0', '0', '1', '0', '0'],\n"
+        "    ['connect', '--local-only', '1', '0', '0', '0', '0.7071067811865476', '0', '0', '0.7071067811865476'],\n"
+        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4'],\n"
+        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4', '--format', 'csv'],\n"
+        "]\n"
+        "codes = [main(argv) for argv in runs]\n"
+        "watched = ['dataclasses', 'inspect', 'numpy'] + [\n"
+        "    f'realtwoqubit.{m}' for m in ('states', 'gates', 'simulator', 'geometry', 'synthesis')\n"
+        "]\n"
+        "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"
+        "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"
+        "late = sorted(m for m in ('numpy', 'realtwoqubit.geometry') if m in sys.modules)\n"
+        "print(codes, early, late, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0] [] ['numpy', 'realtwoqubit.geometry']"
