@@ -17,11 +17,9 @@ _HOME = {
         "sign_residual states_equal_up_to_sign",
         "states": "BellCoords RealState bell_basis_state from_bell to_bell",
         "gates": "Circuit Gate",
-        "simulator": "apply entanglement_entropy gate_matrix reduced_density_matrix reduced_eigenvalues ry_matrix "
-        "ry_matrix_deriv",
+        "simulator": "apply",
         "geometry": "DEGENERATE_SIN_D DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
-        "entanglement_distance entropy_from_distance immersion_defect orbit_mesh orbit_surface parametrize "
-        "sample_orbit_states surface_gram_det torus_angles",
+        "entanglement_distance entropy_from_distance orbit_mesh parametrize sample_orbit_states torus_angles",
         "synthesis": "ConnectionPlan cz_connect intersection_state local_connect prepare",
     }.items()
     for name in names.split()

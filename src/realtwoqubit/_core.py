@@ -5,9 +5,10 @@ by `_unit` where it is made, and a gate the tuple (kind, qubit, angle).  This
 module imports only math and itertools, so a CLI run that classifies,
 prepares, connects or meshes loads nothing else of the package.  The object
 API (`states`, `gates`, `simulator`, `geometry`, `synthesis`) wraps these
-functions, and each of its modules re-exports the core names on its subject
-(the sections below), so one formula has one implementation whichever path
-imports it.
+functions in its records and imports only the core names it calls, so each
+formula has one implementation and each public name one import path,
+`realtwoqubit.<name>` (the three names the benchmark traces by their old
+paths excepted).
 """
 
 import math

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._core import _CZ, _X0, _inverse
+from ._core import _inverse
 
 _KINDS = ("ry", "x", "cz")
 
@@ -31,13 +31,14 @@ class Gate:
             if self.qubit is not None or self.angle is not None:
                 raise ValueError("cz takes neither qubit nor angle")
             return
-        if self.qubit not in (0, 1):
+        # A qubit is the int 0 or 1: 0.0 and True compare equal to one but would be written back as given.
+        if type(self.qubit) is not int or self.qubit not in (0, 1):
             raise ValueError(f"{self.kind} gate needs qubit 0 or 1, got {self.qubit!r}")
         if self.kind == "x":
             if self.angle is not None:
                 raise ValueError("x gate takes no angle")
             return
-        if self.angle is None or not math.isfinite(float(self.angle)):
+        if self.angle is None or isinstance(self.angle, (str, bool)) or not math.isfinite(float(self.angle)):
             raise ValueError(f"ry gate needs a finite angle, got {self.angle!r}")
         object.__setattr__(self, "angle", float(self.angle))
 

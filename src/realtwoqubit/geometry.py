@@ -16,11 +16,12 @@ labels the orbits:
 * d = pi/4: a single torus, exactly the product states.
 
 The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
-apart without computing distances twice (`states.on_v34_side`).
+apart without computing distances twice (`_core.on_v34_side`).
 
 The chart, the classification, the entropy from the concurrence and the mesh
-walk with its text writers are in the plain-float core `_core`, and are
-re-exported here; this module adds the records and the numpy-backed checks.
+walk with its text writers are in the plain-float core `_core`; this module
+wraps them in the OrbitClass, TorusPoint and MeshPoint records and adds the
+parametrization of a sheet and the sampling of an orbit.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._core import _CIRCLE_CHUNK, _DOMAIN_SLACK, _LN2, DEFAULT_CLASS_TOL, GENERIC, MAX_ENTANGLED, PRODUCT, QUARTER_PI
-from ._core import SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _angle_grid, _chart, _checked_distance, _checked_grid
-from ._core import _classify, _mesh_rows, _to_bell, entropy_from_concurrence, mesh_to_csv, mesh_to_json, on_v34_side
-from .gates import Circuit, Gate
-from .simulator import apply, ry_matrix, ry_matrix_deriv
+from ._core import DEFAULT_CLASS_TOL, QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _chart, _checked_distance
+from ._core import _checked_grid, _classify, _mesh_rows, _to_bell, entropy_from_concurrence, on_v34_side
+# Kept because perfbench/spans.py traces the mesh writer as geometry.mesh_to_csv.
+from ._core import mesh_to_csv  # noqa: F401
 from .states import BellCoords, RealState, from_bell
 
 if TYPE_CHECKING:
@@ -155,38 +155,6 @@ def parametrize(point: TorusPoint) -> RealState:
     else:
         x = (large[0], large[1], small[0], small[1])
     return from_bell(BellCoords(*x))
-
-
-def orbit_surface(state: RealState, s: float, t: float) -> RealState:
-    """(Ry(2s) x Ry(2t)) |state|: the local-rotation surface through the state."""
-    return apply(Circuit((Gate.ry(0, 2.0 * s), Gate.ry(1, 2.0 * t))), state)
-
-
-def surface_gram_det(state: RealState, s: float, t: float) -> float:
-    """Gram determinant |d_s phi|^2 |d_t phi|^2 - (d_s phi . d_t phi)^2.
-
-    Tangents are analytic: d/ds Ry(2s) = 2 Ry'(2s), lifted through the
-    Kronecker product.  Equals sin^2(2d) identically on the orbit at
-    distance d, which is why the surface immerses exactly away from the
-    maximally entangled circles.
-    """
-    import numpy as np
-
-    w = state.vector
-    r0, r1 = ry_matrix(2.0 * s), ry_matrix(2.0 * t)
-    d0, d1 = 2.0 * ry_matrix_deriv(2.0 * s), 2.0 * ry_matrix_deriv(2.0 * t)
-    tan_s = np.kron(d0, r1) @ w
-    tan_t = np.kron(r0, d1) @ w
-    ee = float(tan_s @ tan_s)
-    gg = float(tan_t @ tan_t)
-    ff = float(tan_s @ tan_t)
-    return ee * gg - ff * ff
-
-
-def immersion_defect(state: RealState, s: float, t: float) -> float:
-    """|Gram determinant - sin^2(2d)| for the orbit surface through the state."""
-    target = math.sin(2.0 * entanglement_distance(state)) ** 2
-    return abs(surface_gram_det(state, s, t) - target)
 
 
 def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:

@@ -14,10 +14,10 @@ equality predicate compares up to +-1 explicitly.
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
 circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
-in the plain-float core `_core` and are re-exported here.  A RealState or
-BellCoords iterates over its four values, so every function that only reads
-a state takes either form; the functions that return one wrap the tuple
-without checking it again.
+in the plain-float core `_core`; this module wraps the 4-tuples in RealState
+and BellCoords.  A RealState or BellCoords iterates over its four values, so
+every function that only reads a state takes either form; the functions that
+return one wrap the tuple without checking it again.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from ._core import _BELL_NOUN, _INV_SQRT2, DEFAULT_TOL, NORM_SLACK, _from_bell, _minor, _to_bell, _unit
-from ._core import concurrence, on_v34_side, sign_residual, states_equal_up_to_sign
+from ._core import _BELL_NOUN, _from_bell, _to_bell, _unit
+# Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
+from ._core import concurrence, sign_residual  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,9 +66,12 @@ class _UnitVector:
 
     @classmethod
     def from_vector(cls, vec):
-        values = [float(v) for v in vec]
+        values = list(vec)
         if len(values) != 4:
             raise ValueError(f"expected 4 {cls._noun}s, got {len(values)}")
+        # float() reads "1" and True as numbers; a vector from outside input must hold numbers.
+        if any(isinstance(v, (str, bool)) for v in values):
+            raise ValueError(f"{cls._noun}s must be numbers, got {values!r}")
         return cls(*values)
 
     @property

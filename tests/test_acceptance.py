@@ -23,9 +23,7 @@ from realtwoqubit import (
     concurrence,
     cz_connect,
     entanglement_distance,
-    entanglement_entropy,
     entropy_from_distance,
-    immersion_defect,
     intersection_state,
     orbit_mesh,
     parametrize,
@@ -34,6 +32,7 @@ from realtwoqubit import (
     sign_residual,
     to_bell,
 )
+from reference import entanglement_entropy, immersion_defect
 
 PI4 = math.pi / 4.0
 TWO_PI = 2.0 * math.pi

@@ -276,30 +276,6 @@ class TestMesh:
         assert path.read_text() == out
 
 
-def test_numpy_stays_unloaded_until_sample():
-    script = (
-        "import sys\n"
-        "from realtwoqubit.cli import main\n"
-        "runs = [\n"
-        "    ['classify', '1', '0', '0', '0'],\n"
-        "    ['prepare', '0.5', '0.5', '0.5', '0.5'],\n"
-        "    ['connect', '1', '0', '0', '0', '0', '0', '0', '1'],\n"
-        "    ['connect', '--local-only', '1', '0', '0', '0', '0', '1', '0', '0'],\n"
-        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4'],\n"
-        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4', '--format', 'csv'],\n"
-        "]\n"
-        "codes = [main(argv) for argv in runs]\n"
-        "before = 'numpy' in sys.modules\n"
-        "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"
-        "print(codes, before, 'numpy' in sys.modules, file=sys.stderr)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False True"
-
-
 class TestSample:
     def test_seeded_output_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--d", "0.3", "--seed", "7", "--count", "5")
@@ -408,32 +384,6 @@ def test_stream_golden(case, capsys, monkeypatch):
     assert code == 0, err
     assert out.count("\n") == case["items"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
-
-
-@pytest.mark.parametrize("case", STREAMS, ids=lambda case: case["argv"][0])
-def test_validation_stays_at_the_boundary(case, capsys, monkeypatch):
-    # At most one validated state per input state and no Gate beyond the gates
-    # printed: validated objects built in the inner loop fail here.
-    from realtwoqubit.gates import Gate
-    from realtwoqubit.states import _UnitVector
-
-    counts = {"states": 0, "gates": 0}
-
-    def counted(key, original):
-        def post_init(self):
-            counts[key] += 1
-            original(self)
-
-        return post_init
-
-    monkeypatch.setattr(_UnitVector, "__post_init__", counted("states", _UnitVector.__post_init__))
-    monkeypatch.setattr(Gate, "__post_init__", counted("gates", Gate.__post_init__))
-    code, out, err = _replay(case, capsys, monkeypatch)
-    assert code == 0, err
-    states_in = case["items"] * (2 if case["argv"][0] == "connect" else 1)
-    gates_out = sum(len(json.loads(line).get("gates", [])) for line in out.splitlines())
-    assert counts["states"] <= states_in
-    assert counts["gates"] <= gates_out
 
 
 class TestBatchErrors:

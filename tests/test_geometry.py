@@ -20,18 +20,16 @@ from realtwoqubit import (
     entanglement_distance,
     entropy_from_distance,
     from_bell,
-    immersion_defect,
     mesh_to_csv,
     mesh_to_json,
     orbit_mesh,
-    orbit_surface,
     parametrize,
     sample_orbit_states,
-    surface_gram_det,
     to_bell,
     torus_angles,
     BellCoords,
 )
+from reference import immersion_defect, orbit_surface, surface_gram_det
 
 PI4 = math.pi / 4.0
 TWO_PI = 2.0 * math.pi
@@ -397,7 +395,7 @@ class TestMeshWriters:
 class TestCircleChunks:
     def test_no_circle_row_exceeds_the_chunk(self):
         # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b.
-        from realtwoqubit.geometry import _CIRCLE_CHUNK, _mesh_rows
+        from realtwoqubit._core import _CIRCLE_CHUNK, _mesh_rows
 
         rows = list(_mesh_rows(0.0, 2, 65536, float))
         assert all(rows)

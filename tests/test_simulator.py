@@ -12,17 +12,13 @@ from realtwoqubit import (
     apply,
     bell_basis_state,
     entanglement_distance,
-    entanglement_entropy,
     from_bell,
-    gate_matrix,
     parametrize,
-    reduced_density_matrix,
-    reduced_eigenvalues,
-    ry_matrix,
     sign_residual,
     to_bell,
     TorusPoint,
 )
+from reference import entanglement_entropy, gate_matrix, reduced_density_matrix, reduced_eigenvalues, ry_matrix
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 
@@ -232,8 +228,15 @@ class TestGateAndCircuitValues:
         assert Circuit.from_dict(data) == circ
 
     def test_bad_gate_dict(self):
-        with pytest.raises(ValueError):
-            Gate.from_dict({"kind": "swap"})
+        for data in [
+            {"kind": "swap"},
+            {"kind": "ry", "qubit": True, "angle": 1.0},
+            {"kind": "x", "qubit": 0.0},
+            {"kind": "ry", "qubit": 0, "angle": "1.5"},
+            {"kind": "ry", "qubit": 0, "angle": True},
+        ]:
+            with pytest.raises(ValueError):
+                Gate.from_dict(data)
 
     def test_cz_count(self):
         circ = Circuit((Gate.cz(), Gate.ry(0, 1.0), Gate.cz()))

@@ -43,8 +43,11 @@ class TestConstruction:
             RealState(math.inf, 0.0, 0.0, 0.0)
 
     def test_from_vector_length_checked(self):
-        with pytest.raises(ValueError):
-            RealState.from_vector([1.0, 0.0, 0.0])
+        for vec in [[1.0, 0.0, 0.0], "1000", ["1", 0.0, 0.0, 0.0], [True, False, False, False]]:
+            with pytest.raises(ValueError):
+                RealState.from_vector(vec)
+            with pytest.raises(ValueError):
+                RealState.from_dict({"w": vec})
 
     def test_immutable(self):
         s = RealState(1.0, 0.0, 0.0, 0.0)
