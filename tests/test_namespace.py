@@ -7,6 +7,17 @@ from pathlib import Path
 import pytest
 
 import realtwoqubit
+from realtwoqubit import _core
+
+#: Each name the core took from an object-API module that the module still imports.
+MOVED = {
+    "states": "_BELL_NOUN _unit _to_bell _from_bell concurrence sign_residual",
+    "gates": "_inverse",
+    "simulator": "_apply",
+    "geometry": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
+    "entropy_from_concurrence _checked_grid _mesh_rows mesh_to_csv",
+    "synthesis": "_local_connect _intersection _cz_connect _prepare",
+}
 
 #: Core names a module imports without calling them: perfbench/spans.py traces them by these paths.
 TRACED_REEXPORTS = {"states": {"concurrence", "sign_residual"}, "geometry": {"mesh_to_csv"}}
@@ -29,6 +40,11 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         realtwoqubit.frobnicate
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MOVED.items() for n in names.split()])
+def test_moved_name_is_reexported(module, name):
+    assert getattr(importlib.import_module(f"realtwoqubit.{module}"), name) is getattr(_core, name)
 
 
 @pytest.mark.parametrize("module", ["states", "gates", "simulator", "geometry", "synthesis"])
