@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
     p.set_defaults(func=_cmd_mesh)
 
-    p = sub.add_parser("sample", parents=[common], help="random states on an orbit")
+    p = sub.add_parser("sample", help="random states on an orbit")
     p.add_argument("--d", type=float, required=True, help="orbit distance in [0, pi/4]")
     p.add_argument("--count", type=int, default=1, help="number of states (default 1)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
@@ -171,8 +171,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every subcommand takes --tol, so it is checked once, here.
-        if not (args.tol > 0.0):
+        # --tol is checked once, here, for every subcommand that takes it.
+        if "tol" in args and not (args.tol > 0.0):
             raise ValueError(f"tolerance must be positive, got {args.tol!r}")
         return args.func(args)
     except OrbitMismatchError as exc:

@@ -1,10 +1,12 @@
 """Gate and circuit descriptions for the {Ry, X, CZ} gate set.
 
-Gates are plain value objects; the matrices live in `simulator`.  CZ is
-symmetric between the two qubits, so it carries neither qubit nor angle and
-its JSON form is just {"kind": "cz"}.  Inside the package a gate is the
-tuple (kind, qubit, angle) of a Gate's fields, as `_core` works on it, and a
-Gate iterates over them, so code that reads gates takes either form.
+Gates are plain value objects; `simulator` applies them.  CZ is symmetric
+between the two qubits, so it carries neither qubit nor angle and its JSON
+form is just {"kind": "cz"}.  The constructor alone checks which fields a
+kind takes: `to_dict` keeps the fields that are not None, and `from_dict`
+passes the dict's fields back in.  Inside the package a gate is the tuple
+(kind, qubit, angle) of a Gate's fields, as `_core` works on it, and a Gate
+iterates over them, so code that reads gates takes either form.
 """
 
 from __future__ import annotations
@@ -61,22 +63,12 @@ class Gate:
         return Gate(*_inverse(self))
 
     def to_dict(self) -> dict:
-        if self.kind == "cz":
-            return {"kind": "cz"}
-        if self.kind == "x":
-            return {"kind": "x", "qubit": self.qubit}
-        return {"kind": "ry", "qubit": self.qubit, "angle": self.angle}
+        return {name: value for name, value in zip(self.__dataclass_fields__, self) if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Gate":
-        kind = data.get("kind")
-        if kind == "cz":
-            return cls.cz()
-        if kind == "x":
-            return cls.x(data["qubit"])
-        if kind == "ry":
-            return cls.ry(data["qubit"], data["angle"])
-        raise ValueError(f"unknown gate kind {kind!r}")
+        # A missing key reads as None, so the constructor's rule decides which keys a kind needs.
+        return cls(*map(data.get, cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -110,4 +102,6 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
+        if "gates" not in data:
+            raise ValueError(f"Circuit dict needs key 'gates', got {data!r}")
         return cls(tuple(Gate.from_dict(g) for g in data["gates"]))

@@ -43,7 +43,11 @@ class _UnitVector:
     """
 
     def __post_init__(self):
-        self._set(_unit(*map(float, self._values(self)), self._noun))
+        values = self._values(self)
+        # float() reads "1" and True as numbers; a state is given numbers.
+        if any(isinstance(v, (str, bool)) for v in values):
+            raise ValueError(f"{self._noun}s must be numbers, got {list(values)!r}")
+        self._set(_unit(*map(float, values), self._noun))
 
     def _set(self, values) -> None:
         # Field by field: touching __dict__ would take the fields out of
@@ -69,9 +73,6 @@ class _UnitVector:
         values = list(vec)
         if len(values) != 4:
             raise ValueError(f"expected 4 {cls._noun}s, got {len(values)}")
-        # float() reads "1" and True as numbers; a vector from outside input must hold numbers.
-        if any(isinstance(v, (str, bool)) for v in values):
-            raise ValueError(f"{cls._noun}s must be numbers, got {values!r}")
         return cls(*values)
 
     @property
@@ -85,6 +86,8 @@ class _UnitVector:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if cls._key not in data:
+            raise ValueError(f"{cls.__name__} dict needs key {cls._key!r}, got {data!r}")
         return cls.from_vector(data[cls._key])
 
 

@@ -50,7 +50,7 @@ class ConnectionPlan:
 
     def to_dict(self) -> dict:
         return {
-            "gates": [g.to_dict() for g in self.circuit],
+            **self.circuit.to_dict(),
             "intermediate": None if self.intermediate is None else self.intermediate.to_dict(),
             "cz_count": self.cz_count,
             "residual": self.residual,

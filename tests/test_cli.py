@@ -324,10 +324,16 @@ class TestParser:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["classify", "--seed", "3", "1", "0", "0", "0"], ["prepare", "--format", "csv", "1", "0", "0", "0"]]
+        "argv",
+        [
+            ["classify", "--seed", "3", "1", "0", "0", "0"],
+            ["prepare", "--format", "csv", "1", "0", "0", "0"],
+            ["sample", "--tol", "1e-10", "--d", "0.3"],
+        ],
     )
     def test_option_of_another_subcommand_rejected(self, argv):
-        # --seed belongs to sample and --format to mesh; elsewhere they would be ignored.
+        # --seed belongs to sample and --format to mesh, and sample has no circuit to check against --tol;
+        # each would be ignored.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

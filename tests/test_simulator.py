@@ -234,9 +234,19 @@ class TestGateAndCircuitValues:
             {"kind": "x", "qubit": 0.0},
             {"kind": "ry", "qubit": 0, "angle": "1.5"},
             {"kind": "ry", "qubit": 0, "angle": True},
+            {"kind": "x"},
+            {"kind": "ry", "qubit": 0},
+            {"kind": "cz", "qubit": 0},
+            {"kind": "x", "qubit": 0, "angle": 1.0},
         ]:
             with pytest.raises(ValueError):
                 Gate.from_dict(data)
+
+    def test_bad_circuit_rejected(self):
+        with pytest.raises(ValueError, match="must be Gate"):
+            Circuit((("ry", 0, 0.5),))
+        with pytest.raises(ValueError, match="'gates'"):
+            Circuit.from_dict({})
 
     def test_cz_count(self):
         circ = Circuit((Gate.cz(), Gate.ry(0, 1.0), Gate.cz()))

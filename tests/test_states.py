@@ -49,6 +49,21 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 RealState.from_dict({"w": vec})
 
+    def test_constructor_takes_only_numbers(self):
+        # float() would read each of these as a number.
+        for cls, values in [
+            (RealState, ("1", 0, 0, 0)),
+            (RealState, (True, False, False, False)),
+            (BellCoords, ("0", 0, 1, 0)),
+        ]:
+            with pytest.raises(ValueError, match="must be numbers"):
+                cls(*values)
+
+    def test_missing_key_rejected(self):
+        for cls, key in [(RealState, "'w'"), (BellCoords, "'x'")]:
+            with pytest.raises(ValueError, match=key):
+                cls.from_dict({})
+
     def test_immutable(self):
         s = RealState(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
