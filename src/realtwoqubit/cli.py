@@ -2,73 +2,30 @@
 
 Subcommands: classify, prepare, connect, mesh, sample.  All numeric work
 happens in the library; this layer only parses arguments, shuttles JSON/CSV,
-and maps errors to exit codes (0 ok, 2 malformed input, 3 orbit mismatch
-under --local-only).  States can also be piped on stdin, one
-whitespace-separated state per line, for batch runs; an error on a stdin
-line names its line number.  Each input state is validated once, as it is
-read; the work then runs on plain 4-tuples, and each record is one f-string
-of reprs, byte for byte what json.dumps writes.
+and maps errors to exit codes (0 ok, 1 stdout closed early, 2 malformed
+input or usage, 3 orbit mismatch under --local-only).  States can also be
+piped on stdin, one whitespace-separated state per line, for batch runs; an
+error on a stdin line names its line number.  Each input state is validated
+once, as it is read; the work then runs on plain 4-tuples, and each record
+is one f-string of reprs, byte for byte what json.dumps writes.
 
-Only argparse and the plain-float core `_core` are imported at start-up, so
-classify, prepare, connect and mesh load neither dataclasses nor numpy nor
-the object API; `sample` imports `geometry` and numpy when it runs.
+One table, `_COMMANDS`, gives each subcommand's help line, numbers per input
+and flags.  `parse_args` walks argv once against it: a token that starts
+with `--` (or is `-h`) is a flag, given as `--flag value`, `--flag=value` or
+a unique abbreviation, and the last of a repeated flag wins; every other
+token, and every token after `--`, is a number, wherever it stands.  Help
+and usage errors are printed from the same table.
+
+Only `sys` and the plain-float core `_core` are imported at start-up, so
+classify, prepare, connect and mesh load neither argparse nor dataclasses
+nor numpy nor the object API; `sample` imports `geometry` and numpy when it
+runs.
 """
 
-import argparse
 import sys
 
 from ._core import _CZ, DEFAULT_TOL, OrbitMismatchError, _classify, _cz_connect, _local_connect, _prepare, _to_bell
 from ._core import _unit, concurrence, entropy_from_concurrence, mesh_to_csv, mesh_to_json, residual
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse reads only -N and -N.N as negative numbers and takes -4e-09 for an option;
-    # here every token float() accepts is a value, as on stdin.  Subparsers inherit the class.
-    def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance (default 1e-10)")
-    parser = _ArgumentParser(
-        prog="realtwoqubit",
-        description="Orbit classification and circuit synthesis for real-amplitude two-qubit states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common], help="orbit class, distance, entropy and Bell coordinates")
-    p.add_argument("values", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
-    p.set_defaults(func=_cmd_records, record=_classify_record, per_line=4)
-
-    p = sub.add_parser("prepare", parents=[common], help="preparation circuit from |00>")
-    p.add_argument("values", nargs="*", type=float, metavar="W", help="four amplitudes (omit to read lines from stdin)")
-    p.set_defaults(func=_cmd_records, record=_prepare_record, per_line=4)
-
-    p = sub.add_parser("connect", parents=[common], help="circuit taking the source state to the target state")
-    p.add_argument("values", nargs="*", type=float, metavar="W", help="eight numbers: source then target (omit to read lines from stdin)")
-    p.add_argument("--local-only", action="store_true", help="refuse to use CZ; exit 3 if the orbits differ")
-    p.set_defaults(func=_cmd_records, record=_connect_record, per_line=8)
-
-    p = sub.add_parser("mesh", parents=[common], help="sample an orbit into the unit ball")
-    p.add_argument("--d", type=float, required=True, help="orbit distance in [0, pi/4]")
-    p.add_argument("--na", type=int, default=64, help="grid size for angle a (default 64)")
-    p.add_argument("--nb", type=int, default=64, help="grid size for angle b (default 64)")
-    p.add_argument("--out", default=None, help="write to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
-    p.set_defaults(func=_cmd_mesh)
-
-    p = sub.add_parser("sample", help="random states on an orbit")
-    p.add_argument("--d", type=float, required=True, help="orbit distance in [0, pi/4]")
-    p.add_argument("--count", type=int, default=1, help="number of states (default 1)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.set_defaults(func=_cmd_sample)
-
-    return parser
 
 
 def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
@@ -146,11 +103,15 @@ def _cmd_records(args) -> int:
 def _cmd_mesh(args) -> int:
     # The writers check the request when called, so a bad one opens no --out and writes nothing.
     chunks = (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(chunks)
-    else:
+    if not args.out:
         sys.stdout.writelines(chunks)
+        return 0
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+    with fh:
+        fh.writelines(chunks)
     return 0
 
 
@@ -167,14 +128,109 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+#: Per subcommand: help line, handler, record writer, numbers per input (0: none) and flags,
+#: name -> (dest, converter or None for a switch, default or ... if required, help).
+_TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e-10)")}
+_D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
+_COMMANDS = {
+    "classify": ("orbit class, distance, entropy and Bell coordinates", _cmd_records, _classify_record, 4, _TOL),
+    "prepare": ("preparation circuit from |00>", _cmd_records, _prepare_record, 4, _TOL),
+    "connect": ("circuit taking the source state to the target state", _cmd_records, _connect_record, 8, {
+        **_TOL, "--local-only": ("local_only", None, False, "refuse to use CZ; exit 3 if the orbits differ")}),
+    "mesh": ("sample an orbit into the unit ball", _cmd_mesh, None, 0, {
+        **_TOL, **_D, "--na": ("na", int, 64, "grid size for angle a (default 64)"),
+        "--nb": ("nb", int, 64, "grid size for angle b (default 64)"),
+        "--out": ("out", str, None, "write to this path instead of stdout"),
+        "--format": ("format", {"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv (default json)")}),
+    "sample": ("random states on an orbit", _cmd_sample, None, 0, {
+        **_D, "--count": ("count", int, 1, "number of states (default 1)"), "--seed": ("seed", int, None, "RNG seed")}),
+}
+_HELP = ("-h", "--help")
+
+
+class _Args:
+    """The parsed command line: one attribute per field that main and the handlers read."""
+
+
+def _stop(command: str, error: str = ""):
+    """Print help to stdout and exit 0, or a usage error to stderr and exit 2."""
+    if command:
+        blurb, _, _, per_line, flags = _COMMANDS[command]
+        rows = [(f"{f} {dest.upper()}" if convert else f, text) for f, (dest, convert, _, text) in flags.items()]
+        rows += [("W ...", f"{per_line} numbers, or none to read lines from stdin")] * bool(per_line)
+        usage = f"usage: realtwoqubit {command} [-h] {' '.join(f'[{a}]' for a, _ in rows)}"
+    else:
+        blurb = "Orbit classification and circuit synthesis for real-amplitude two-qubit states."
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+        usage = f"usage: realtwoqubit [-h] {{{','.join(_COMMANDS)}}} ..."
+    help_text = "\n".join([usage, "", blurb, "", *(f"  {a:<16} {b}" for a, b in rows)])
+    print(f"{usage}\nrealtwoqubit: error: {error}" if error else help_text, file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
+
+
+def _flag(command: str, token: str, names) -> str:
+    """The flag a token names: itself, or the one flag that a --token abbreviates."""
+    found = [token] if token in names else [n for n in names if token[:2] == "--" and token[2:] and n.startswith(token)]
+    if len(found) != 1:
+        _stop(command, f"ambiguous option {token}: {' or '.join(found)}" if found else f"unrecognized argument {token}")
+    return found[0]
+
+
+def parse_args(argv: list[str]) -> _Args:
+    """Walk argv once against _COMMANDS: flags and numbers in any order, and only numbers after `--`."""
+    command = argv[0] if argv else ""
+    if command[:1] == "-" and _flag("", command, _HELP):
+        _stop("")
+    if command not in _COMMANDS:
+        _stop("", f"unknown subcommand {command!r}" if command else "missing subcommand")
+    _, func, record, per_line, flags = _COMMANDS[command]
+    args, tokens, options = _Args(), iter(argv[1:]), True
+    vars(args).update({dest: default for dest, _, default, _ in flags.values()}, func=func, record=record, per_line=per_line, values=[])
+    for token in tokens:
+        if options and token == "--":
+            options = False
+        elif options and (token[:2] == "--" or token in _HELP):  # every other token is a number, as on stdin
+            name, eq, value = token.partition("=")
+            flag = _flag(command, name, [*flags, *_HELP])
+            dest, convert, _, _ = flags.get(flag) or _stop(command)  # -h, --help
+            if convert is None and eq:
+                _stop(command, f"{flag} takes no value")
+            if convert is not None and not eq:
+                value = next(tokens, "--")
+                if value[:2] == "--" or value in _HELP:
+                    _stop(command, f"{flag} expects a value")
+            try:
+                setattr(args, dest, True if convert is None else convert(value))
+            except (KeyError, ValueError):
+                _stop(command, f"invalid {flag} value {value!r}")
+        elif not per_line:
+            _stop(command, f"{command} takes no numbers, got {token!r}")
+        else:
+            try:
+                args.values.append(float(token))
+            except ValueError:
+                _stop(command, f"not a number: {token!r}")
+    for flag, (dest, _, _, _) in flags.items():
+        if getattr(args, dest) is ...:
+            _stop(command, f"{command} requires {flag}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # --tol is checked once, here, for every subcommand that takes it.
-        if "tol" in args and not (args.tol > 0.0):
+        if "tol" in vars(args) and not (args.tol > 0.0):
             raise ValueError(f"tolerance must be positive, got {args.tol!r}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # As the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OrbitMismatchError as exc:
         print(f"error: ORBIT_MISMATCH: {exc}", file=sys.stderr)
         return 3

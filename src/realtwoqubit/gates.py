@@ -67,6 +67,8 @@ class Gate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Gate":
+        if not isinstance(data, dict):
+            raise ValueError(f"a gate is a dict, got {data!r}")
         # A missing key reads as None, so the constructor's rule decides which keys a kind needs.
         return cls(*map(data.get, cls.__dataclass_fields__))
 
@@ -104,4 +106,6 @@ class Circuit:
     def from_dict(cls, data: dict) -> "Circuit":
         if "gates" not in data:
             raise ValueError(f"Circuit dict needs key 'gates', got {data!r}")
+        if not isinstance(data["gates"], list):
+            raise ValueError(f"Circuit 'gates' must be a list of gate dicts, got {data['gates']!r}")
         return cls(tuple(Gate.from_dict(g) for g in data["gates"]))

@@ -32,6 +32,7 @@ from realtwoqubit.cli import main
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 V3_ARGS = [repr(ISQ2), "0", "0", repr(ISQ2)]
+PAIR = ["1", "0", "0", "0", "0", "1", "0", "0"]
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +269,11 @@ class TestMesh:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "mesh.csv"
+        code, out, err = run_cli(capsys, "mesh", "--d", "0.3", "--na", "2", "--nb", "2", "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: No such file or directory\n")
+
     def test_out_file_equals_stdout(self, capsys, tmp_path):
         argv = ["mesh", "--d", "0.3", "--na", "7", "--nb", "9", "--format", "json"]
         _, out, _ = run_cli(capsys, *argv)
@@ -351,6 +357,79 @@ class TestParser:
         assert code == 0, err
         monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(values) + "\n"))
         assert run_cli(capsys, command) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["classify", "--tol=1e-3", "1", "0", "0", "0"], ["classify", "--tol", "1e-3", "1", "0", "0", "0"]),
+            (["connect", "--local", *PAIR], ["connect", "--local-only", *PAIR]),
+            (
+                ["mesh", "--d=0.3", "--na", "2", "--nb", "3", "--form", "csv"],
+                ["mesh", "--d", "0.3", "--na", "2", "--nb", "3", "--format", "csv"],
+            ),
+            (["classify", "--", "-1", "0", "0", "0"], ["classify", "-1", "0", "0", "0"]),
+            (["classify", "--tol", "0", "--tol", "1e-3", "1", "0", "0", "0"], ["classify", "1", "0", "0", "0"]),
+            (["connect", "1", "0", "0", "--local-only", "0", "0", "1", "0", "0"], ["connect", "--local-only", *PAIR]),
+            (["classify", "0.6", "--tol", "1e-3", "0.8", "--", "0", "-0"], ["classify", "--tol", "1e-3", "0.6", "0.8", "0", "-0"]),
+        ],
+    )
+    def test_argv_forms(self, argv, same_as, capsys):
+        # Abbreviations, --flag=value, `--` before negative numbers, the last of a repeated flag,
+        # and numbers between flags: each prints what the plain form prints.
+        expected = run_cli(capsys, *same_as)
+        assert expected[0] == 0, expected[2]
+        assert run_cli(capsys, *argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["mesh", "--d", "0.3", "--n", "4"],
+            ["mesh", "--d", "0.3", "--na", "2.5"],
+            ["mesh", "--d", "0.3", "--format", "xml"],
+            ["mesh", "--d", "0.3", "--out"],
+            ["mesh", "--d", "0.3", "--out", "--nb", "4"],
+            ["classify", "--tol"],
+            ["classify", "--tol", "x", "1", "0", "0", "0"],
+            ["classify", "-x", "1", "0", "0", "0"],
+            ["connect", "--local-only=yes", *PAIR],
+            ["mesh", "--na", "4"],
+            ["sample", "--count", "2"],
+            ["mesh", "--d", "0.3", "1", "0", "0", "0"],
+            ["sample", "--d", "0.3", "1"],
+            ["classify", "--", "--tol", "1", "0", "0", "0"],
+        ],
+    )
+    def test_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: realtwoqubit ") and error.startswith("realtwoqubit: error: ")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize(
+        "command, listed",
+        [
+            (None, ["classify", "prepare", "connect", "mesh", "sample"]),
+            ("classify", ["--tol"]),
+            ("prepare", ["--tol"]),
+            ("connect", ["--tol", "--local-only"]),
+            ("mesh", ["--tol", "--d", "--na", "--nb", "--out", "--format"]),
+            ("sample", ["--d", "--count", "--seed"]),
+        ],
+    )
+    def test_help(self, command, listed, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag] if command is None else [command, flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: realtwoqubit ") and err == ""
+        # Each row of the help names one subcommand, or one flag of this subcommand.
+        rows = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert [r for r in rows if r != "W"] == listed
 
     def test_prepare_residual_verified_against_simulator(self, capsys):
         # the reported residual is exactly the simulator's, not a recomputation
@@ -450,6 +529,25 @@ def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
     assert len(calls) == case["items"]
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(["mesh", "--d", "0.3", "--na", "256", "--nb", "256", "--format", "csv"], ""), (["classify"], "1 0 0 0\n" * 5000)],
+)
+def test_closed_stdout_ends_the_run_quietly(argv, stdin, tmp_path):
+    # The reader goes away after one line; the run stops with exit 1 and no traceback.
+    (tmp_path / "stdin").write_text(stdin)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stdin") as fin:
+        cmd = [sys.executable, "-c", "import sys; from realtwoqubit.cli import main; sys.exit(main())", *argv]
+        proc = subprocess.Popen(cmd, env=env, stdin=fin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_start_up_imports_only_the_core():
     # Modules already loaded before the package (by a site hook, say) are not held against it.
     script = (
@@ -466,7 +564,7 @@ def test_start_up_imports_only_the_core():
         "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4', '--format', 'csv'],\n"
         "]\n"
         "codes = [main(argv) for argv in runs]\n"
-        "watched = ['dataclasses', 'inspect', 'numpy'] + [\n"
+        "watched = ['argparse', 'dataclasses', 'inspect', 'numpy'] + [\n"
         "    f'realtwoqubit.{m}' for m in ('states', 'gates', 'simulator', 'geometry', 'synthesis')\n"
         "]\n"
         "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"

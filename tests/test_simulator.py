@@ -242,6 +242,22 @@ class TestGateAndCircuitValues:
             with pytest.raises(ValueError):
                 Gate.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "load, data, named",
+        [
+            (Gate.from_dict, "cz", "got 'cz'"),
+            (Gate.from_dict, ["cz"], "got ['cz']"),
+            (Circuit.from_dict, {"gates": ["cz"]}, "got 'cz'"),
+            (Circuit.from_dict, {"gates": 5}, "got 5"),
+            (Circuit.from_dict, {"gates": "cz"}, "got 'cz'"),
+        ],
+    )
+    def test_malformed_gates_raise_value_error(self, load, data, named):
+        # Not AttributeError or TypeError from inside the loader: the message names the bad value.
+        with pytest.raises(ValueError) as exc:
+            load(data)
+        assert str(exc.value).endswith(named)
+
     def test_bad_circuit_rejected(self):
         with pytest.raises(ValueError, match="must be Gate"):
             Circuit((("ry", 0, 0.5),))
