@@ -12,13 +12,15 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "_core": "DEFAULT_CLASS_TOL DEFAULT_TOL GENERIC MAX_ENTANGLED PRODUCT SHEET_BOTH SHEET_V12 SHEET_V34 "
-        "OrbitMismatchError concurrence entropy_from_concurrence mesh_to_csv mesh_to_json preparation_angles "
-        "sign_residual states_equal_up_to_sign",
+        "_core": "DEFAULT_TOL SHEET_BOTH SHEET_V12 SHEET_V34 OrbitMismatchError",
+        "_state": "concurrence sign_residual states_equal_up_to_sign",
+        "_classify": "DEFAULT_CLASS_TOL GENERIC MAX_ENTANGLED PRODUCT entropy_from_concurrence",
+        "_synthesis": "preparation_angles",
+        "_mesh": "mesh_to_csv mesh_to_json",
         "states": "BellCoords RealState bell_basis_state from_bell to_bell",
         "gates": "Circuit Gate",
         "simulator": "apply",
-        "geometry": "DEGENERATE_SIN_D DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
+        "geometry": "DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
         "entanglement_distance entropy_from_distance orbit_mesh parametrize sample_orbit_states torus_angles",
         "synthesis": "ConnectionPlan cz_connect intersection_state local_connect prepare",
     }.items()

@@ -1,0 +1,55 @@
+"""Classification of a plain-float state, the entropy from the concurrence, and the classify record."""
+
+import math
+
+from ._core import QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34
+from ._state import _distance, _to_bell, concurrence, on_v34_side
+
+MAX_ENTANGLED = "max_entangled"
+GENERIC = "generic"
+PRODUCT = "product"
+
+#: Classification snaps to the orbit-family boundaries within this.
+DEFAULT_CLASS_TOL = 1e-9
+
+_LN2 = math.log(2.0)
+
+
+def _classify(state, bell, class_tol: float = DEFAULT_CLASS_TOL) -> tuple[str, float, str]:
+    """(kind, d, sheet) of a state whose Bell coordinates are `bell`; see geometry.classify."""
+    d = _distance(bell)
+    if d <= class_tol:
+        kind = MAX_ENTANGLED
+    elif abs(d - QUARTER_PI) <= class_tol:
+        return PRODUCT, d, SHEET_BOTH
+    else:
+        kind = GENERIC
+    return kind, d, SHEET_V34 if on_v34_side(state) else SHEET_V12
+
+
+def entropy_from_concurrence(c: float) -> float:
+    """Entanglement entropy (base 2) of a state with concurrence c in [0, 1].
+
+    Binary entropy of p = (1 + sqrt(1 - c^2))/2 (Wootters, PRL 80, 2245
+    (1998)).  The smaller probability is formed as
+    1 - p = c^2 / (2 (1 + sqrt(1 - c^2))) and its complement's logarithm with
+    log1p, so nothing cancels near the product torus, where the entropy is
+    tiny; the 0*log2(0) limit at c = 0 is taken as 0.  Inputs are clamped to
+    [0, 1], absorbing the rounding of a computed concurrence.
+    """
+    c = min(max(c, 0.0), 1.0)
+    q = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    if q == 0.0:
+        return 0.0
+    return -q * math.log2(q) - (1.0 - q) * math.log1p(-q) / _LN2
+
+
+def _classify_record(args, state: tuple) -> str:
+    x1, x2, x3, x4 = bell = _to_bell(state)
+    kind, d, sheet = _classify(state, bell)
+    c = concurrence(state)
+    # The entropy comes from C rather than d: near the product torus d has too few digits.
+    return (
+        f'{{"d": {d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{kind}", '
+        f'"sheet": "{sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
+    )

@@ -9,140 +9,40 @@ error on a stdin line names its line number.  Each input state is validated
 once, as it is read; the work then runs on plain 4-tuples, and each record
 is one f-string of reprs, byte for byte what json.dumps writes.
 
-One table, `_COMMANDS`, gives each subcommand's help line, numbers per input
-and flags.  `parse_args` walks argv once against it: a token that starts
-with `--` (or is `-h`) is a flag, given as `--flag value`, `--flag=value` or
-a unique abbreviation, and the last of a repeated flag wins; every other
-token, and every token after `--`, is a number, wherever it stands.  Help
-and usage errors are printed from the same table.
+One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
+per input and flags.  `parse_args` walks argv once against it: a token that
+starts with `--` (or is `-h`) is a flag, given as `--flag value`,
+`--flag=value` or a unique abbreviation, and the last of a repeated flag
+wins; every other token, and every token after `--`, is a number, wherever
+it stands.  Help and usage errors are printed from the same table.
 
-Only `sys` and the plain-float core `_core` are imported at start-up, so
-classify, prepare, connect and mesh load neither argparse nor dataclasses
-nor numpy nor the object API; `sample` imports `geometry` and numpy when it
-runs.
+Only `sys` and the core's shared base `_core` are imported at start-up.  A
+subcommand imports its part of the core as it runs: `_state` with `_classify`
+or `_synthesis`, or `_mesh` alone, and help and usage errors `_usage`.  So a
+run compiles only what it executes and loads neither argparse nor dataclasses
+nor numpy nor the object API; `sample` imports `geometry` and numpy.
 """
 
+import importlib
 import sys
 
-from ._core import _CZ, DEFAULT_TOL, OrbitMismatchError, _classify, _cz_connect, _local_connect, _prepare, _to_bell
-from ._core import _unit, concurrence, entropy_from_concurrence, mesh_to_csv, mesh_to_json, residual
+from ._core import DEFAULT_TOL, OrbitMismatchError
 
-
-def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
-    if len(values) != per_line:
-        raise ValueError(f"expected {per_line} numbers, got {len(values)}")
-    return [_unit(*values[i : i + 4]) for i in range(0, per_line, 4)]
-
-
-def _input_batches(args_values: list[float], per_line: int):
-    """Yield lists of unit 4-tuples, one per input: argv values or stdin lines."""
-    if args_values:
-        yield _states_from_values(args_values, per_line)
-        return
-    for number, line in enumerate(sys.stdin, 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            try:
-                values = list(map(float, tokens))
-            except ValueError:
-                raise ValueError(f"malformed input line {line.strip()!r}") from None
-            states = _states_from_values(values, per_line)
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        yield states
-
-
-#: The JSON of each gate without an angle.
-_FIXED_GATE_JSON = {
-    ("cz", None, None): '{"kind": "cz"}',
-    ("x", 0, None): '{"kind": "x", "qubit": 0}',
-    ("x", 1, None): '{"kind": "x", "qubit": 1}',
-}
-
-_ZERO = (1.0, 0.0, 0.0, 0.0)
-
-
-def _gates_json(gates) -> str:
-    texts = (_FIXED_GATE_JSON.get(g) or f'{{"kind": "ry", "qubit": {g[1]}, "angle": {g[2]!r}}}' for g in gates)
-    return f"[{', '.join(texts)}]"
-
-
-def _classify_record(args, state: tuple) -> str:
-    x1, x2, x3, x4 = bell = _to_bell(state)
-    kind, d, sheet = _classify(state, bell)
-    c = concurrence(state)
-    # The entropy comes from C rather than d: near the product torus d has too few digits.
-    return (
-        f'{{"d": {d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{kind}", '
-        f'"sheet": "{sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
-    )
-
-
-def _prepare_record(args, state: tuple) -> str:
-    gates = _prepare(state)
-    return f'{{"gates": {_gates_json(gates)}, "residual": {residual(gates, _ZERO, state)!r}}}\n'
-
-
-def _connect_record(args, source: tuple, target: tuple) -> str:
-    gates, mid, res = (_local_connect if args.local_only else _cz_connect)(source, target, args.tol)
-    intermediate = "null" if mid is None else f'{{"w": [{mid[0]!r}, {mid[1]!r}, {mid[2]!r}, {mid[3]!r}]}}'
-    return (
-        f'{{"gates": {_gates_json(gates)}, "intermediate": {intermediate}, '
-        f'"cz_count": {gates.count(_CZ)}, "residual": {res!r}}}\n'
-    )
-
-
-def _cmd_records(args) -> int:
-    # classify, prepare and connect: one JSON line per input, written as soon as it is made.
-    sys.stdout.writelines(args.record(args, *states) for states in _input_batches(args.values, args.per_line))
-    return 0
-
-
-def _cmd_mesh(args) -> int:
-    # The writers check the request when called, so a bad one opens no --out and writes nothing.
-    chunks = (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)
-    if not args.out:
-        sys.stdout.writelines(chunks)
-        return 0
-    try:
-        fh = open(args.out, "w")
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    with fh:
-        fh.writelines(chunks)
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    import json
-
-    import numpy as np
-
-    from .geometry import sample_orbit_states
-
-    rng = np.random.default_rng(args.seed)
-    states = sample_orbit_states(args.d, args.count, rng)
-    print(json.dumps({"d": args.d, "states": [s.to_dict() for s in states]}))
-    return 0
-
-
-#: Per subcommand: help line, handler, record writer, numbers per input (0: none) and flags,
-#: name -> (dest, converter or None for a switch, default or ... if required, help).
+#: Per subcommand: help line, "part.handler" (a record writer if it reads states), numbers per input
+#: (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
 _TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e-10)")}
 _D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
 _COMMANDS = {
-    "classify": ("orbit class, distance, entropy and Bell coordinates", _cmd_records, _classify_record, 4, _TOL),
-    "prepare": ("preparation circuit from |00>", _cmd_records, _prepare_record, 4, _TOL),
-    "connect": ("circuit taking the source state to the target state", _cmd_records, _connect_record, 8, {
+    "classify": ("orbit class, distance, entropy and Bell coordinates", "_classify._classify_record", 4, _TOL),
+    "prepare": ("preparation circuit from |00>", "_synthesis._prepare_record", 4, _TOL),
+    "connect": ("circuit taking the source state to the target state", "_synthesis._connect_record", 8, {
         **_TOL, "--local-only": ("local_only", None, False, "refuse to use CZ; exit 3 if the orbits differ")}),
-    "mesh": ("sample an orbit into the unit ball", _cmd_mesh, None, 0, {
+    "mesh": ("sample an orbit into the unit ball", "_mesh._cmd_mesh", 0, {
         **_TOL, **_D, "--na": ("na", int, 64, "grid size for angle a (default 64)"),
         "--nb": ("nb", int, 64, "grid size for angle b (default 64)"),
         "--out": ("out", str, None, "write to this path instead of stdout"),
         "--format": ("format", {"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv (default json)")}),
-    "sample": ("random states on an orbit", _cmd_sample, None, 0, {
+    "sample": ("random states on an orbit", "geometry._cmd_sample", 0, {
         **_D, "--count": ("count", int, 1, "number of states (default 1)"), "--seed": ("seed", int, None, "RNG seed")}),
 }
 _HELP = ("-h", "--help")
@@ -153,19 +53,10 @@ class _Args:
 
 
 def _stop(command: str, error: str = ""):
-    """Print help to stdout and exit 0, or a usage error to stderr and exit 2."""
-    if command:
-        blurb, _, _, per_line, flags = _COMMANDS[command]
-        rows = [(f"{f} {dest.upper()}" if convert else f, text) for f, (dest, convert, _, text) in flags.items()]
-        rows += [("W ...", f"{per_line} numbers, or none to read lines from stdin")] * bool(per_line)
-        usage = f"usage: realtwoqubit {command} [-h] {' '.join(f'[{a}]' for a, _ in rows)}"
-    else:
-        blurb = "Orbit classification and circuit synthesis for real-amplitude two-qubit states."
-        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
-        usage = f"usage: realtwoqubit [-h] {{{','.join(_COMMANDS)}}} ..."
-    help_text = "\n".join([usage, "", blurb, "", *(f"  {a:<16} {b}" for a, b in rows)])
-    print(f"{usage}\nrealtwoqubit: error: {error}" if error else help_text, file=sys.stderr if error else sys.stdout)
-    raise SystemExit(2 if error else 0)
+    """Print help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
+    from ._usage import _help_or_error
+
+    _help_or_error(_COMMANDS, command, error)
 
 
 def _flag(command: str, token: str, names) -> str:
@@ -183,9 +74,9 @@ def parse_args(argv: list[str]) -> _Args:
         _stop("")
     if command not in _COMMANDS:
         _stop("", f"unknown subcommand {command!r}" if command else "missing subcommand")
-    _, func, record, per_line, flags = _COMMANDS[command]
+    _, handler, per_line, flags = _COMMANDS[command]
     args, tokens, options = _Args(), iter(argv[1:]), True
-    vars(args).update({dest: default for dest, _, default, _ in flags.values()}, func=func, record=record, per_line=per_line, values=[])
+    vars(args).update({dest: default for dest, _, default, _ in flags.values()}, handler=handler, per_line=per_line, values=[])
     for token in tokens:
         if options and token == "--":
             options = False
@@ -222,9 +113,17 @@ def main(argv=None) -> int:
         # --tol is checked once, here, for every subcommand that takes it.
         if "tol" in vars(args) and not (args.tol > 0.0):
             raise ValueError(f"tolerance must be positive, got {args.tol!r}")
-        code = args.func(args)
+        # The subcommand's part is imported only now, so a run compiles none of the others.
+        part, _, name = args.handler.partition(".")
+        run = getattr(importlib.import_module(f".{part}", __package__), name)
+        if args.per_line:  # classify, prepare and connect: one record per input, written as soon as it is made
+            from ._state import _input_batches
+
+            sys.stdout.writelines(run(args, *states) for states in _input_batches(args.values, args.per_line))
+        else:
+            run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush
-        return code
+        return 0
     except BrokenPipeError:
         # As the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent.
         import os

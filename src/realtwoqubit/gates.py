@@ -4,9 +4,10 @@ Gates are plain value objects; `simulator` applies them.  CZ is symmetric
 between the two qubits, so it carries neither qubit nor angle and its JSON
 form is just {"kind": "cz"}.  The constructor alone checks which fields a
 kind takes: `to_dict` keeps the fields that are not None, and `from_dict`
-passes the dict's fields back in.  Inside the package a gate is the tuple
-(kind, qubit, angle) of a Gate's fields, as `_core` works on it, and a Gate
-iterates over them, so code that reads gates takes either form.
+passes the dict's fields back in, once `states._checked_dict` has refused a
+non-dict or an unknown key.  Inside the package a gate is the tuple (kind,
+qubit, angle) of a Gate's fields, as the core's `_synthesis` works on it, and
+a Gate iterates over them, so code that reads gates takes either form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._core import _inverse
+from ._synthesis import _inverse
+from .states import _checked_dict
 
 _KINDS = ("ry", "x", "cz")
 
@@ -67,10 +69,8 @@ class Gate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Gate":
-        if not isinstance(data, dict):
-            raise ValueError(f"a gate is a dict, got {data!r}")
-        # A missing key reads as None, so the constructor's rule decides which keys a kind needs.
-        return cls(*map(data.get, cls.__dataclass_fields__))
+        # A missing qubit or angle reads as None, so the constructor's rule decides which a kind needs.
+        return cls(*map(_checked_dict(data, "Gate", ("kind",), ("qubit", "angle")).get, cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
-        if "gates" not in data:
-            raise ValueError(f"Circuit dict needs key 'gates', got {data!r}")
-        if not isinstance(data["gates"], list):
-            raise ValueError(f"Circuit 'gates' must be a list of gate dicts, got {data['gates']!r}")
-        return cls(tuple(Gate.from_dict(g) for g in data["gates"]))
+        gates = _checked_dict(data, "Circuit", ("gates",))["gates"]
+        if not isinstance(gates, list):
+            raise ValueError(f"Circuit 'gates' must be a list of gate dicts, got {gates!r}")
+        return cls(tuple(Gate.from_dict(g) for g in gates))

@@ -16,12 +16,13 @@ labels the orbits:
 * d = pi/4: a single torus, exactly the product states.
 
 The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
-apart without computing distances twice (`_core.on_v34_side`).
+apart without computing distances twice (`_state.on_v34_side`).
 
-The chart, the classification, the entropy from the concurrence and the mesh
-walk with its text writers are in the plain-float core `_core`; this module
-wraps them in the OrbitClass, TorusPoint and MeshPoint records and adds the
-parametrization of a sheet and the sampling of an orbit.
+The chart (`_state`), the classification and the entropy from the
+concurrence (`_classify`) and the mesh walk with its text writers (`_mesh`)
+are in the plain-float core; this module wraps them in the OrbitClass,
+TorusPoint and MeshPoint records and adds the parametrization of a sheet and
+the sampling of an orbit, with the `sample` subcommand.
 """
 
 from __future__ import annotations
@@ -30,17 +31,19 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._core import DEFAULT_CLASS_TOL, QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _chart, _checked_distance
-from ._core import _checked_grid, _classify, _mesh_rows, _to_bell, entropy_from_concurrence, on_v34_side
+from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
+from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance
+from ._mesh import _checked_grid, _mesh_rows
 # Kept because perfbench/spans.py traces the mesh writer as geometry.mesh_to_csv.
-from ._core import mesh_to_csv  # noqa: F401
+from ._mesh import mesh_to_csv  # noqa: F401
+from ._state import _chart, _to_bell, on_v34_side
 from .states import BellCoords, RealState, from_bell
 
 if TYPE_CHECKING:
     import numpy as np
 
 #: Below this sin(d) the torus angle `a` is undefined (states on a circle).
-DEGENERATE_SIN_D = 1e-9
+_DEGENERATE_SIN_D = 1e-9
 
 
 class DegenerateAngleError(ValueError):
@@ -128,7 +131,7 @@ def torus_angles(state: RealState) -> TorusPoint:
     small-radius plane carries no direction, so `a` is undefined.
     """
     d, angle12, angle34 = _chart(state)
-    if math.sin(d) < DEGENERATE_SIN_D:
+    if math.sin(d) < _DEGENERATE_SIN_D:
         raise DegenerateAngleError(
             f"state lies on a maximally entangled circle (sin d = {math.sin(d):.3e}); torus angle a is undefined"
         )
@@ -181,3 +184,13 @@ def sample_orbit_states(d: float, count: int, rng: np.random.Generator) -> list[
         sheet = SHEET_V34 if rng.random() < 0.5 else SHEET_V12
         out.append(parametrize(TorusPoint(d, rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI), sheet)))
     return out
+
+
+def _cmd_sample(args) -> None:
+    import json
+
+    import numpy as np
+
+    rng = np.random.default_rng(args.seed)
+    states = sample_orbit_states(args.d, args.count, rng)
+    print(json.dumps({"d": args.d, "states": [s.to_dict() for s in states]}))

@@ -5,7 +5,7 @@ of the ket, so amplitudes are ordered (|00>, |01>, |10>, |11>) and a gate on
 qubit 0 lifts to kron(M, I).  The convention test in the suite pins this down
 via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
 
-`apply` acts on the four amplitudes in closed form (`_core._apply`): Ry on
+`apply` acts on the four amplitudes in closed form (`_synthesis._apply`): Ry on
 qubit 0 rotates the pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates
 (w1, w2) and (w3, w4), X swaps the same pairs and CZ negates w4.  The dense
 Kronecker matrices and the partial-trace entropy it is checked against live
@@ -14,7 +14,7 @@ in the suite (`tests/reference.py`), not here.
 
 from __future__ import annotations
 
-from ._core import _apply
+from ._synthesis import _apply
 from .gates import Circuit
 from .states import RealState
 

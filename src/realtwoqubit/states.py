@@ -14,10 +14,11 @@ equality predicate compares up to +-1 explicitly.
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
 circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
-in the plain-float core `_core`; this module wraps the 4-tuples in RealState
-and BellCoords.  A RealState or BellCoords iterates over its four values, so
-every function that only reads a state takes either form; the functions that
-return one wrap the tuple without checking it again.
+in the core's `_state` part; this module wraps the 4-tuples in RealState and
+BellCoords, and `_checked_dict` checks the dict every loader reads.  A
+RealState or BellCoords iterates over its four values, so every function
+that only reads a state takes either form; the functions that return one
+wrap the tuple without checking it again.
 """
 
 from __future__ import annotations
@@ -26,12 +27,23 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from ._core import _BELL_NOUN, _from_bell, _to_bell, _unit
+from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
 # Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
-from ._core import concurrence, sign_residual  # noqa: F401
+from ._state import concurrence, sign_residual  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
+    """The one check of a loader's input: a dict with each of `keys` and no key outside `keys` and `optional`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} dict expected, got {data!r}")
+    wrong = [f"missing key {k!r}" for k in keys if k not in data]
+    wrong += [f"unknown key {k!r}" for k in data if k not in keys and k not in optional]
+    if wrong:
+        raise ValueError(f"{name} dict: {', '.join(wrong)}; got {data!r}")
+    return data
 
 
 class _UnitVector:
@@ -86,9 +98,7 @@ class _UnitVector:
 
     @classmethod
     def from_dict(cls, data: dict):
-        if cls._key not in data:
-            raise ValueError(f"{cls.__name__} dict needs key {cls._key!r}, got {data!r}")
-        return cls.from_vector(data[cls._key])
+        return cls.from_vector(_checked_dict(data, cls.__name__, (cls._key,))[cls._key])
 
 
 @dataclass(frozen=True)

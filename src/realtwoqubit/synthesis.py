@@ -17,7 +17,7 @@ Three constructive results, each verified against the simulator:
 Plans never cancel the global sign: residuals are min over +-target.  Each
 plan's residual comes from one simulation of its whole circuit on its
 source.  All emitted angles are normalized to (-pi, pi].  The solvers, the
-preparation angles and the residual work on plain 4-tuples in `_core`; the
+preparation angles and the residual work on plain 4-tuples in `_synthesis`; the
 functions below wrap their results in Gate, Circuit, RealState and
 ConnectionPlan, and each Gate is validated again on construction.
 """
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._core import DEFAULT_TOL, _cz_connect, _intersection, _local_connect, _prepare
+from ._core import DEFAULT_TOL
+from ._synthesis import _cz_connect, _intersection, _local_connect, _prepare
 from .gates import Circuit, Gate
 from .states import RealState
 

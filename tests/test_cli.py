@@ -511,16 +511,16 @@ class TestBatchErrors:
 
 def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
     # The printed Bell coordinates are the ones d, class and sheet come from.
-    from realtwoqubit import _core, cli
+    from realtwoqubit import _classify, _state
 
     calls = []
-    original = _core._to_bell
+    original = _state._to_bell
 
     def counted(state):
         calls.append(state)
         return original(state)
 
-    for module in (cli, _core):
+    for module in (_classify, _state):
         monkeypatch.setattr(module, "_to_bell", counted)
     case = next(c for c in STREAMS if c["argv"][0] == "classify")
     code, out, err = _replay(case, capsys, monkeypatch)
@@ -548,21 +548,35 @@ def test_closed_stdout_ends_the_run_quietly(argv, stdin, tmp_path):
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+#: Per subcommand, the runs of the start-up test and the part modules of the core they may load.
+START_UP_RUNS = {
+    "classify": ([["classify", "1", "0", "0", "0"]], "_classify _core _state"),
+    "prepare": ([["prepare", "0.5", "0.5", "0.5", "0.5"]], "_core _state _synthesis"),
+    "connect": (
+        [
+            ["connect", "1", "0", "0", "0", "0", "0", "0", "1"],
+            ["connect", "--local-only", "1", "0", "0", "0", "0", "1", "0", "0"],
+            ["connect", "--local-only", "1", "0", "0", "0", "0.7071067811865476", "0", "0", "0.7071067811865476"],
+        ],
+        "_core _state _synthesis",
+    ),
+    "mesh": (
+        [
+            ["mesh", "--d", "0.3", "--na", "4", "--nb", "4"],
+            ["mesh", "--d", "0.3", "--na", "4", "--nb", "4", "--format", "csv"],
+        ],
+        "_core _mesh",
+    ),
+}
+
+
 def test_start_up_imports_only_the_core():
     # Modules already loaded before the package (by a site hook, say) are not held against it.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from realtwoqubit.cli import main\n"
-        "runs = [\n"
-        "    ['classify', '1', '0', '0', '0'],\n"
-        "    ['prepare', '0.5', '0.5', '0.5', '0.5'],\n"
-        "    ['connect', '1', '0', '0', '0', '0', '0', '0', '1'],\n"
-        "    ['connect', '--local-only', '1', '0', '0', '0', '0', '1', '0', '0'],\n"
-        "    ['connect', '--local-only', '1', '0', '0', '0', '0.7071067811865476', '0', '0', '0.7071067811865476'],\n"
-        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4'],\n"
-        "    ['mesh', '--d', '0.3', '--na', '4', '--nb', '4', '--format', 'csv'],\n"
-        "]\n"
+        f"runs = {[argv for runs, _ in START_UP_RUNS.values() for argv in runs]!r}\n"
         "codes = [main(argv) for argv in runs]\n"
         "watched = ['argparse', 'dataclasses', 'inspect', 'numpy'] + [\n"
         "    f'realtwoqubit.{m}' for m in ('states', 'gates', 'simulator', 'geometry', 'synthesis')\n"
@@ -577,3 +591,15 @@ def test_start_up_imports_only_the_core():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0] [] ['numpy', 'realtwoqubit.geometry']"
+    # Each subcommand, in a fresh interpreter, compiles only its own part of the core.
+    for command, (runs, parts) in START_UP_RUNS.items():
+        script = (
+            "import sys\n"
+            "from realtwoqubit.cli import main\n"
+            f"[main(argv) for argv in {runs!r}]\n"
+            "print(sorted(m for m in sys.modules if m.startswith('realtwoqubit.')), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = sorted(f"realtwoqubit.{m}" for m in ["cli", *parts.split()])
+        assert proc.stderr.splitlines()[-1] == str(loaded), command

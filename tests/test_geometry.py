@@ -395,7 +395,7 @@ class TestMeshWriters:
 class TestCircleChunks:
     def test_no_circle_row_exceeds_the_chunk(self):
         # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b.
-        from realtwoqubit._core import _CIRCLE_CHUNK, _mesh_rows
+        from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows
 
         rows = list(_mesh_rows(0.0, 2, 65536, float))
         assert all(rows)

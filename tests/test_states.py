@@ -7,6 +7,8 @@ import pytest
 
 from realtwoqubit import (
     BellCoords,
+    Circuit,
+    Gate,
     RealState,
     bell_basis_state,
     concurrence,
@@ -162,3 +164,18 @@ class TestJson:
         x = to_bell(_random_state(rng))
         assert BellCoords.from_dict(x.to_dict()).vector == pytest.approx(list(x.vector))
         assert list(x.to_dict()) == ["x"]
+
+    @pytest.mark.parametrize(
+        "load, data, named",
+        [
+            (Circuit.from_dict, 5, "dict expected, got 5"),
+            (RealState.from_dict, None, "dict expected, got None"),
+            (RealState.from_dict, "w", "dict expected, got 'w'"),
+            (Gate.from_dict, {"kind": "x", "qubit": 0, "phase": 1.0}, "unknown key 'phase'"),
+            (RealState.from_dict, {"w": [1, 0, 0, 0], "x": [0, 1, 0, 0]}, "unknown key 'x'"),
+        ],
+    )
+    def test_loaders_take_a_dict_of_known_keys(self, load, data, named):
+        # One check for every loader: not TypeError for a non-dict, and no key dropped silently.
+        with pytest.raises(ValueError, match=named):
+            load(data)
