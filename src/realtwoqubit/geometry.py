@@ -28,7 +28,6 @@ the sampling of an orbit, with the `sample` subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
@@ -50,8 +49,7 @@ class DegenerateAngleError(ValueError):
     """Torus angles requested on a maximally entangled circle, where `a` is undefined."""
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """Orbit label: kind in {max_entangled, generic, product}, distance d, sheet."""
 
     kind: str
@@ -59,8 +57,7 @@ class OrbitClass:
     sheet: str
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     """Angles (a, b) of a state on its orbit sheet at distance d.
 
     On the V34 sheet, a is the angle in the (x1, x2) plane of radius sin(d)

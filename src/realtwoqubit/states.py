@@ -14,17 +14,15 @@ equality predicate compares up to +-1 explicitly.
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
 circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
-in the core's `_state` part; this module wraps the 4-tuples in RealState and
-BellCoords, and `_checked_dict` checks the dict every loader reads.  A
-RealState or BellCoords iterates over its four values, so every function
-that only reads a state takes either form; the functions that return one
-wrap the tuple without checking it again.
+in the core's `_state` part; this module makes RealState and BellCoords the
+same 4-tuples as named tuples, and `_checked_dict` checks the dict every
+loader reads.  So every function that only reads a state takes either form,
+and the functions that return one wrap the tuple without checking it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
@@ -46,87 +44,83 @@ def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
     return data
 
 
-class _UnitVector:
-    """The body RealState and BellCoords share: four finite floats of unit norm.
+def _number(value) -> float | None:
+    """float(value) for a number; None for anything else, also for the text and bools float() reads."""
+    try:
+        return None if isinstance(value, (str, bytes, bytearray, bool)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
-    Each subclass is a frozen dataclass with four float fields and sets
-    `_values`, an attrgetter of the four in order; `_key` names the list in
-    the dict form and `_noun` the components in error messages.
+
+class _UnitVector:
+    """The body RealState and BellCoords share: a named tuple of four finite floats of unit norm.
+
+    `_key` names the list in the dict form and `_noun` the components in
+    error messages.
     """
 
-    def __post_init__(self):
-        values = self._values(self)
-        # float() reads "1" and True as numbers; a state is given numbers.
-        if any(isinstance(v, (str, bool)) for v in values):
-            raise ValueError(f"{self._noun}s must be numbers, got {list(values)!r}")
-        self._set(_unit(*map(float, values), self._noun))
+    __slots__ = ()
+    #: An instance holding a 4-tuple _unit returned, not checked or divided again.
+    _wrap = classmethod(tuple.__new__)
 
-    def _set(self, values) -> None:
-        # Field by field: touching __dict__ would take the fields out of
-        # CPython's inline attribute storage and slow every later read.
-        n1, n2, n3, n4 = self.__dataclass_fields__
-        object.__setattr__(self, n1, values[0])
-        object.__setattr__(self, n2, values[1])
-        object.__setattr__(self, n3, values[2])
-        object.__setattr__(self, n4, values[3])
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)
+        values = [_number(v) for v in fields]
+        if None in values:
+            raise ValueError(f"{cls._noun}s must be numbers, got {list(fields)!r}")
+        return cls._wrap(_unit(*values, cls._noun))
 
-    @classmethod
-    def _wrap(cls, values):
-        """An instance holding a 4-tuple _unit returned, not checked or divided again."""
-        self = object.__new__(cls)
-        self._set(values)
-        return self
+    def __reduce__(self):
+        # As _wrap makes it: dividing a unit tuple by its norm again moves an ulp in about 3% of states.
+        return tuple.__new__, (type(self), tuple(self))
 
-    def __iter__(self):
-        return iter(self._values(self))
+    # A state equals only its own class: RealState(0, 0, 1, 0) is |10>, BellCoords(0, 0, 1, 0) is v3.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def from_vector(cls, vec):
-        values = list(vec)
+        values = tuple(vec) if hasattr(vec, "__iter__") else (vec,)
         if len(values) != 4:
-            raise ValueError(f"expected 4 {cls._noun}s, got {len(values)}")
+            raise ValueError(f"expected 4 {cls._noun}s, got {vec!r}")
         return cls(*values)
+
+    # The named tuple's own _make, which _replace calls too, would skip the constructor's check.
+    _make = from_vector
 
     @property
     def vector(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(self._values(self))
+        return np.array(self)
 
     def to_dict(self) -> dict:
-        return {self._key: list(self._values(self))}
+        return {self._key: list(self)}
 
     @classmethod
     def from_dict(cls, data: dict):
         return cls.from_vector(_checked_dict(data, cls.__name__, (cls._key,))[cls._key])
 
 
-@dataclass(frozen=True)
-class RealState(_UnitVector):
+class RealState(_UnitVector, namedtuple("RealState", "w1 w2 w3 w4")):
     """Unit vector of real amplitudes for |00>, |01>, |10>, |11>."""
 
+    __slots__ = ()
     _key = "w"
     _noun = "amplitude"
-    _values = attrgetter("w1", "w2", "w3", "w4")
-
-    w1: float
-    w2: float
-    w3: float
-    w4: float
 
 
-@dataclass(frozen=True)
-class BellCoords(_UnitVector):
+class BellCoords(_UnitVector, namedtuple("BellCoords", "x1 x2 x3 x4")):
     """Coordinates (x1, x2, x3, x4) of a state in the Bell basis v1..v4."""
 
+    __slots__ = ()
     _key = "x"
     _noun = _BELL_NOUN
-    _values = attrgetter("x1", "x2", "x3", "x4")
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
 
 
 def to_bell(state: RealState) -> BellCoords:

@@ -24,7 +24,7 @@ ConnectionPlan, and each Gate is validated again on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._core import DEFAULT_TOL
 from ._synthesis import _cz_connect, _intersection, _local_connect, _prepare
@@ -32,8 +32,7 @@ from .gates import Circuit, Gate
 from .states import RealState
 
 
-@dataclass(frozen=True)
-class ConnectionPlan:
+class ConnectionPlan(NamedTuple):
     """A synthesized circuit plus its verification record.
 
     `intermediate` is the torus-intersection state a one-CZ plan passes
@@ -61,7 +60,7 @@ class ConnectionPlan:
 def _plan(gates: tuple, intermediate: tuple | None, res: float) -> ConnectionPlan:
     # The public plan: a Gate per emitted gate, and the intermediate state wrapped as it is.
     mid = None if intermediate is None else RealState._wrap(intermediate)
-    return ConnectionPlan(Circuit(tuple(Gate(*g) for g in gates)), mid, res)
+    return ConnectionPlan(Circuit(Gate(*g) for g in gates), mid, res)
 
 
 def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
@@ -106,4 +105,4 @@ def prepare(target: RealState) -> Circuit:
     Exact up to the global sign; the suite's convention test fixes this
     layout as the single consistent one for the simulator's conventions.
     """
-    return Circuit(tuple(Gate(*g) for g in _prepare(target)))
+    return Circuit(Gate(*g) for g in _prepare(target))

@@ -583,7 +583,7 @@ def test_start_up_imports_only_the_core():
         "]\n"
         "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"
         "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"
-        "late = sorted(m for m in ('numpy', 'realtwoqubit.geometry') if m in sys.modules)\n"
+        "late = sorted(m for m in ('numpy', 'realtwoqubit.geometry', 'dataclasses') if m in sys.modules)\n"
         "print(codes, early, late, file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,6 +1,7 @@
 """Gate matrices, circuit application, reduced densities and the entropy route."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -250,6 +251,8 @@ class TestGateAndCircuitValues:
             (Circuit.from_dict, {"gates": ["cz"]}, "got 'cz'"),
             (Circuit.from_dict, {"gates": 5}, "got 5"),
             (Circuit.from_dict, {"gates": "cz"}, "got 'cz'"),
+            (Gate.from_dict, {"kind": "ry", "qubit": 0, "angle": [1]}, "got [1]"),
+            (partial(Gate, "ry", 0), 10**400, f"got {10**400}"),
         ],
     )
     def test_malformed_gates_raise_value_error(self, load, data, named):

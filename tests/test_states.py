@@ -1,6 +1,10 @@
 """State construction, Bell coordinates, concurrence and sign-blind equality."""
 
+import copy
 import math
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,16 @@ from realtwoqubit import (
     Gate,
     RealState,
     bell_basis_state,
+    classify,
     concurrence,
+    cz_connect,
     from_bell,
+    orbit_mesh,
+    prepare,
     sign_residual,
     states_equal_up_to_sign,
     to_bell,
+    torus_angles,
 )
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -52,11 +61,13 @@ class TestConstruction:
                 RealState.from_dict({"w": vec})
 
     def test_constructor_takes_only_numbers(self):
-        # float() would read each of these as a number.
+        # float() would read the first three as numbers, and fails on the last two with TypeError and OverflowError.
         for cls, values in [
             (RealState, ("1", 0, 0, 0)),
             (RealState, (True, False, False, False)),
             (BellCoords, ("0", 0, 1, 0)),
+            (RealState, (1j, 0, 0, 0)),
+            (RealState, (10**400, 0, 0, 0)),
         ]:
             with pytest.raises(ValueError, match="must be numbers"):
                 cls(*values)
@@ -70,6 +81,8 @@ class TestConstruction:
         s = RealState(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
             s.w1 = 0.5
+        with pytest.raises(AttributeError):
+            s.extra = 1
 
     def test_unit_norm_invariant(self, rng):
         for _ in range(200):
@@ -173,9 +186,64 @@ class TestJson:
             (RealState.from_dict, "w", "dict expected, got 'w'"),
             (Gate.from_dict, {"kind": "x", "qubit": 0, "phase": 1.0}, "unknown key 'phase'"),
             (RealState.from_dict, {"w": [1, 0, 0, 0], "x": [0, 1, 0, 0]}, "unknown key 'x'"),
+            (RealState.from_dict, {"w": 5}, "expected 4 amplitudes, got 5"),
+            (RealState.from_dict, {"w": None}, "expected 4 amplitudes, got None"),
+            (RealState.from_dict, {"w": [None, 0, 0, 0]}, re.escape("must be numbers, got [None, 0, 0, 0]")),
+            (RealState.from_dict, {"w": [[1], 0, 0, 0]}, re.escape("must be numbers, got [[1], 0, 0, 0]")),
         ],
     )
     def test_loaders_take_a_dict_of_known_keys(self, load, data, named):
         # One check for every loader: not TypeError for a non-dict, and no key dropped silently.
         with pytest.raises(ValueError, match=named):
             load(data)
+
+
+def _records(rng):
+    """One of each public record, built from a random state."""
+    s = _random_state(rng)
+    plan = cz_connect(RealState(1, 0, 0, 0), s)
+    return [
+        s,
+        to_bell(s),
+        Gate.ry(1, rng.uniform(-4.0, 4.0)),
+        prepare(s),
+        classify(s),
+        torus_angles(s),
+        orbit_mesh(rng.uniform(0.1, 0.7), 2, 3)[1],
+        plan,
+    ]
+
+
+class TestRecords:
+    def test_copy_and_pickle_keep_every_bit(self, rng):
+        # Each state must come back as made, not divided by its norm again, which moves an ulp in about 3% of them.
+        for _ in range(200):
+            for record in _records(rng):
+                for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                    assert type(back) is type(record)
+                    assert repr(back) == repr(record)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RealState._make((5, 0, 0, 0)),
+            lambda: RealState(1, 0, 0, 0)._replace(w1=5.0),
+            lambda: Gate.cz()._replace(qubit=0),
+        ],
+    )
+    def test_make_and_replace_check_like_the_constructor(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_state_equals_only_its_own_class(self):
+        # RealState(0, 0, 1, 0) is |10>, BellCoords(0, 0, 1, 0) is v3.
+        assert RealState(0, 0, 1, 0) != BellCoords(0, 0, 1, 0)
+        assert not RealState(0, 0, 1, 0) == BellCoords(0, 0, 1, 0)
+        assert RealState(0, 0, 1, 0) != (0.0, 0.0, 1.0, 0.0)
+        assert RealState(0, 0, 1, 0) == RealState(0.0, 0.0, 1.0, 0.0)
+        assert hash(RealState(0, 0, 1, 0)) == hash(RealState(0.0, 0.0, 1.0, 0.0))
+
+    def test_readme_orbit_class_repr(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        shown = repr(classify(RealState(0.5, 0.5, 0.5, -0.5)))
+        assert f"# {shown}" in readme
