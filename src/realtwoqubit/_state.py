@@ -21,7 +21,8 @@ def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tu
     if not abs(norm - 1.0) < NORM_SLACK:
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ValueError(f"{noun} components must be finite, got {(a, b, c, d)}")
-        raise ValueError(f"{noun} vector has norm {norm!r}, not within {NORM_SLACK} of 1")
+        # hypot, unlike the sum of squares, neither overflows nor underflows on a far-off norm.
+        raise ValueError(f"{noun} vector has norm {math.hypot(a, b, c, d)!r}, not within {NORM_SLACK} of 1")
     return a / norm, b / norm, c / norm, d / norm
 
 
@@ -84,7 +85,7 @@ def _chart(state) -> tuple[float, float, float]:
 def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
     if len(values) != per_line:
         raise ValueError(f"expected {per_line} numbers, got {len(values)}")
-    return [_unit(*values[i : i + 4]) for i in range(0, per_line, 4)]
+    return [*map(_unit, *[iter(values)] * 4)]  # one iterator four times: each _unit takes the next four values
 
 
 def _input_batches(args_values: list[float], per_line: int):
@@ -98,7 +99,7 @@ def _input_batches(args_values: list[float], per_line: int):
             continue
         try:
             try:
-                values = list(map(float, tokens))
+                values = [*map(float, tokens)]
             except ValueError:
                 raise ValueError(f"malformed input line {line.strip()!r}") from None
             states = _states_from_values(values, per_line)

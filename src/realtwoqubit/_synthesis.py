@@ -2,7 +2,7 @@
 
 import math
 
-from ._core import _DOMAIN_SLACK, OrbitMismatchError
+from ._core import _DOMAIN_SLACK, QUARTER_PI, TWO_PI, OrbitMismatchError
 from ._state import _BELL_NOUN, _chart, _from_bell, _unit, on_v34_side, sign_residual, states_equal_up_to_sign
 
 _CZ = ("cz", None, None)
@@ -36,7 +36,7 @@ def _apply(gates, state) -> tuple:
 
 def _wrap_angle(theta: float) -> float:
     """Normalize to (-pi, pi]."""
-    t = math.remainder(theta, 2.0 * math.pi)
+    t = math.remainder(theta, TWO_PI)
     return math.pi if t <= -math.pi else t
 
 
@@ -87,7 +87,7 @@ def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -
 
 
 def _intersection(d0: float, d1: float) -> tuple:
-    if not (0.0 <= d1 < d0 <= math.pi / 4.0 + _DOMAIN_SLACK):
+    if not (0.0 <= d1 < d0 <= QUARTER_PI + _DOMAIN_SLACK):
         raise ValueError(f"need pi/4 >= d0 > d1 >= 0, got d0 = {d0!r}, d1 = {d1!r}")
     s0, s1 = math.sin(d0), math.sin(d1)
     return _from_bell(_unit(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0), _BELL_NOUN))
@@ -120,16 +120,16 @@ def _arg(re: float, im: float) -> float:
 def preparation_angles(target) -> tuple[float, float, float]:
     """Angles (t1, t0, t2) of the preparation template.
 
-    t3 = Arg(w1 + i w2) and t4 = Arg(w3 + i w4) place each amplitude pair on
-    its circle; t1 = 2 arccos(sqrt(w1^2 + w2^2)) splits the weight between
-    the pairs, evaluated as 2 atan2(|(w3, w4)|, |(w1, w2)|) so that a
-    near-empty pair keeps its digits; t0 = t3 - t4 and t2 = t3 + t4 realize
-    both pair angles with one rotation before and one after the CZ.
+    t3 = Arg(w1 + i w2) and t4 = Arg(w3 + i w4) place each amplitude pair on its circle;
+    t1 = 2 arccos(sqrt(w1^2 + w2^2)) splits the weight between the pairs, evaluated as
+    2 atan2(|(w3, w4)|, |(w1, w2)|) so that a near-empty pair keeps its digits, and not wrapped,
+    since it already lies in [0, pi]; t0 = t3 - t4 and t2 = t3 + t4 realize both pair angles
+    with one rotation before and one after the CZ.
     """
     w1, w2, w3, w4 = target
     t3, t4 = _arg(w1, w2), _arg(w3, w4)
     t1 = 2.0 * math.atan2(math.hypot(w3, w4), math.hypot(w1, w2))
-    return _wrap_angle(t1), _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
+    return t1, _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
 
 
 def _prepare(target) -> tuple:
@@ -137,7 +137,7 @@ def _prepare(target) -> tuple:
     return ("ry", 0, t1), ("ry", 1, t0), _CZ, ("ry", 1, t2)
 
 
-#: The JSON of each gate without an angle.
+#: The JSON of each gate without an angle: only those are looked up, so no angle is hashed.
 _FIXED_GATE_JSON = {
     ("cz", None, None): '{"kind": "cz"}',
     ("x", 0, None): '{"kind": "x", "qubit": 0}',
@@ -148,7 +148,7 @@ _ZERO = (1.0, 0.0, 0.0, 0.0)
 
 
 def _gates_json(gates) -> str:
-    texts = (_FIXED_GATE_JSON.get(g) or f'{{"kind": "ry", "qubit": {g[1]}, "angle": {g[2]!r}}}' for g in gates)
+    texts = [_FIXED_GATE_JSON[g] if g[2] is None else f'{{"kind": "ry", "qubit": {g[1]}, "angle": {g[2]!r}}}' for g in gates]
     return f"[{', '.join(texts)}]"
 
 

@@ -110,16 +110,19 @@ def parse_args(argv: list[str]) -> _Args:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        # --tol is checked once, here, for every subcommand that takes it.
-        if "tol" in vars(args) and not (args.tol > 0.0):
-            raise ValueError(f"tolerance must be positive, got {args.tol!r}")
+        # --tol is checked once, here, for every subcommand that takes it; nan fails the comparison too.
+        if "tol" in vars(args) and not (0.0 < args.tol < float("inf")):
+            raise ValueError(f"tolerance must be positive and finite, got {args.tol!r}")
         # The subcommand's part is imported only now, so a run compiles none of the others.
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)
         if args.per_line:  # classify, prepare and connect: one record per input, written as soon as it is made
+            from functools import partial
+            from itertools import starmap
+
             from ._state import _input_batches
 
-            sys.stdout.writelines(run(args, *states) for states in _input_batches(args.values, args.per_line))
+            sys.stdout.writelines(starmap(partial(run, args), _input_batches(args.values, args.per_line)))
         else:
             run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush

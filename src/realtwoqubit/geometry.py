@@ -150,11 +150,7 @@ def parametrize(point: TorusPoint) -> RealState:
     sd, cd = math.sin(d), math.cos(d)
     small = (sd * math.cos(point.a), sd * math.sin(point.a))
     large = (cd * math.cos(point.b), cd * math.sin(point.b))
-    if point.sheet == SHEET_V34:
-        x = (small[0], small[1], large[0], large[1])
-    else:
-        x = (large[0], large[1], small[0], small[1])
-    return from_bell(BellCoords(*x))
+    return from_bell(BellCoords(*(small + large if point.sheet == SHEET_V34 else large + small)))
 
 
 def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
@@ -184,6 +180,8 @@ def sample_orbit_states(d: float, count: int, rng: np.random.Generator) -> list[
 
 
 def _cmd_sample(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     import json
 
     import numpy as np

@@ -145,6 +145,4 @@ def bell_basis_state(index: int) -> RealState:
     """The index-th Bell basis vector, index in 1..4 matching v1..v4."""
     if index not in (1, 2, 3, 4):
         raise ValueError(f"Bell basis index must be 1..4, got {index}")
-    x = [0.0, 0.0, 0.0, 0.0]
-    x[index - 1] = 1.0
-    return from_bell(BellCoords(*x))
+    return from_bell(BellCoords(*(float(i == index) for i in (1, 2, 3, 4))))

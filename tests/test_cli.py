@@ -103,6 +103,18 @@ class TestClassify:
         assert code == 2
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_tolerance_must_be_finite(self, tol, capsys):
+        # An infinite tol would pass any circuit, the empty one included.
+        assert run_cli(capsys, "connect", "--tol", tol, *PAIR) == (
+            2, "", f"error: tolerance must be positive and finite, got {tol}\n"
+        )
+
+    def test_tabs_and_crlf_line_endings(self, capsys, monkeypatch):
+        expected = run_cli(capsys, "classify", "1", "0", "0", "0")[1] + run_cli(capsys, "classify", "0", "1", "0", "0")[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\t0\t0\t0\r\n\t0 1\t0\t0\r\n"))
+        assert run_cli(capsys, "classify") == (0, expected, "")
+
 
 def _mp_entropy(c):
     """Binary entropy of (1 + sqrt(1 - c^2))/2 at 50 digits."""
@@ -322,6 +334,11 @@ class TestSample:
         code, _, _ = run_cli(capsys, "sample", "--d", "0.1", "--count", "-1")
         assert code == 2
 
+    def test_negative_seed(self, capsys):
+        assert run_cli(capsys, "sample", "--d", "0.1", "--seed", "-1") == (
+            2, "", "error: seed must be non-negative, got -1\n"
+        )
+
 
 class TestParser:
     def test_unknown_command(self):
@@ -479,6 +496,7 @@ class TestBatchErrors:
             ("1 0 0", "expected 4 numbers, got 3"),
             ("nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
             ("2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
+            ("1 0 0 0 0", "expected 4 numbers, got 5"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "prepare"])
@@ -492,6 +510,26 @@ class TestBatchErrors:
         first = run_cli(capsys, "connect", "1", "0", "0", "0", "0", "1", "0", "0")[1]
         monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0 0 1 0 0\n1 0 0 0 0 1 0\n"))
         assert run_cli(capsys, "connect") == (2, first, "error: line 2: expected 8 numbers, got 7\n")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1 0 0 0 2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
+            ("1 0 0 0 nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
+            ("1 0 0 0 0 zero 0 0", "malformed input line '1 0 0 0 0 zero 0 0'"),
+        ],
+    )
+    def test_connect_second_state_line_numbered(self, bad, message, capsys, monkeypatch):
+        first = run_cli(capsys, "connect", *PAIR)[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{' '.join(PAIR)}\n{bad}\n"))
+        assert run_cli(capsys, "connect") == (2, first, f"error: line 2: {message}\n")
+
+    @pytest.mark.parametrize("scale, norm", [("1e200", "1e+200"), ("1e-200", "1e-200")])
+    def test_far_off_norm_reported(self, scale, norm, capsys):
+        # The sum of squares overflows to inf or underflows to 0.0; the message names the norm itself.
+        assert run_cli(capsys, "classify", scale, "0", "0", "0") == (
+            2, "", f"error: amplitude vector has norm {norm}, not within 1e-06 of 1\n"
+        )
 
     def test_argv_errors_unnumbered(self, capsys):
         assert run_cli(capsys, "classify", "1", "0", "0") == (2, "", "error: expected 4 numbers, got 3\n")
@@ -523,6 +561,25 @@ def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
     for module in (_classify, _state):
         monkeypatch.setattr(module, "_to_bell", counted)
     case = next(c for c in STREAMS if c["argv"][0] == "classify")
+    code, out, err = _replay(case, capsys, monkeypatch)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    assert len(calls) == case["items"]
+
+
+def test_prepare_validates_each_input_once(capsys, monkeypatch):
+    # Only the reader calls _state._unit on prepare's path; the simulator's own _unit is _synthesis's import.
+    from realtwoqubit import _state
+
+    calls = []
+    original = _state._unit
+
+    def counted(*values):
+        calls.append(values)
+        return original(*values)
+
+    monkeypatch.setattr(_state, "_unit", counted)
+    case = next(c for c in STREAMS if c["argv"][0] == "prepare")
     code, out, err = _replay(case, capsys, monkeypatch)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

@@ -47,6 +47,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BellCoords(0.5, 0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("scale, norm", [(1e200, "1e+200"), (1e-200, "1e-200")])
+    def test_far_off_norm_named_in_the_error(self, scale, norm):
+        with pytest.raises(ValueError, match=f"norm {re.escape(norm)}, not within"):
+            RealState(scale, 0.0, 0.0, 0.0)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             RealState(math.nan, 0.0, 0.0, 0.0)
