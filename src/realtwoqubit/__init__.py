@@ -18,11 +18,9 @@ _HOME = {
         "_synthesis": "preparation_angles",
         "_mesh": "mesh_to_csv mesh_to_json",
         "states": "BellCoords RealState bell_basis_state from_bell to_bell",
-        "gates": "Circuit Gate",
-        "simulator": "apply",
         "geometry": "DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
         "entanglement_distance entropy_from_distance orbit_mesh parametrize sample_orbit_states torus_angles",
-        "synthesis": "ConnectionPlan cz_connect intersection_state local_connect prepare",
+        "synthesis": "Circuit ConnectionPlan Gate apply cz_connect intersection_state local_connect prepare",
     }.items()
     for name in names.split()
 }

@@ -1,7 +1,7 @@
 """The shared base of the plain-float core that the command line runs, split by subcommand.
 
 A run compiles only what it executes: `_state`, then `_classify` or `_synthesis`, or `_mesh` alone.
-The parts import only math, sys, itertools and each other; the object API wraps them in its records,
+The parts import only math, operator, sys, itertools and each other; the object API wraps them in its records,
 so each formula has one implementation and each public name one import path.
 """
 
@@ -26,6 +26,13 @@ def _checked_distance(d: float) -> float:
     if not (-_DOMAIN_SLACK <= d <= QUARTER_PI + _DOMAIN_SLACK):
         raise ValueError(f"distance {d!r} outside [0, pi/4]")
     return min(max(d, 0.0), QUARTER_PI)
+
+
+def _checked_tol(tol: float) -> float:
+    # The one tolerance rule, for the command line and the library connects; nan fails the comparison too.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
 class OrbitMismatchError(ValueError):

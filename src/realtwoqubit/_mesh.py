@@ -1,6 +1,7 @@
 """The orbit mesh walk, its CSV and JSON writers, and the mesh subcommand: no state code."""
 
 import math
+import operator
 import sys
 from itertools import chain
 
@@ -17,7 +18,12 @@ def _angle_grid(n: int, indices: range) -> tuple[list[float], list[float]]:
 
 
 def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
-    d, n_a, n_b = _checked_distance(d), int(n_a), int(n_b)
+    d = _checked_distance(d)
+    try:
+        # An integer only: int() would truncate 2.9 to 2 and read the string "3".
+        n_a, n_b = operator.index(n_a), operator.index(n_b)
+    except TypeError:
+        raise ValueError(f"grid sizes must be integers, got ({n_a!r}, {n_b!r})") from None
     if n_a < 2 or n_b < 2:
         raise ValueError(f"grid sizes must be at least 2, got ({n_a}, {n_b})")
     return d, n_a, n_b

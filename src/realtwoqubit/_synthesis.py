@@ -111,7 +111,7 @@ def _cz_connect(source, target, tol: float) -> tuple:
 
 
 def _arg(re: float, im: float) -> float:
-    # Arg(0 + 0i) := 0 keeps the angles finite for amplitude pairs that vanish.
+    # atan2 is finite at the origin, but atan2(+-0.0, -0.0) is +-pi: Arg(0 + 0i) := 0 folds the signed zeros to 0.
     if re == 0.0 and im == 0.0:
         return 0.0
     return math.atan2(im, re)

@@ -26,7 +26,7 @@ nor numpy nor the object API; `sample` imports `geometry` and numpy.
 import importlib
 import sys
 
-from ._core import DEFAULT_TOL, OrbitMismatchError
+from ._core import DEFAULT_TOL, OrbitMismatchError, _checked_tol
 
 #: Per subcommand: help line, "part.handler" (a record writer if it reads states), numbers per input
 #: (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
@@ -110,9 +110,9 @@ def parse_args(argv: list[str]) -> _Args:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        # --tol is checked once, here, for every subcommand that takes it; nan fails the comparison too.
-        if "tol" in vars(args) and not (0.0 < args.tol < float("inf")):
-            raise ValueError(f"tolerance must be positive and finite, got {args.tol!r}")
+        # --tol is checked once, here, for every subcommand that takes it.
+        if "tol" in vars(args):
+            _checked_tol(args.tol)
         # The subcommand's part is imported only now, so a run compiles none of the others.
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)

@@ -185,6 +185,16 @@ class TestPrepare:
         for line in lines:
             assert json.loads(line)["residual"] < 1e-10
 
+    @pytest.mark.parametrize("zeros", [["-0", "0"], ["-0", "-0"]])
+    def test_signed_zero_pair_emits_the_gates_of_zero(self, zeros, capsys, monkeypatch):
+        # atan2(+-0.0, -0.0) is +-pi; Arg of a vanishing pair is 0 whatever the signs of its zeros.
+        gates = run_cli(capsys, "prepare", "0", "0", "0.6", "0.8")[1].partition(', "residual"')[0]
+        code, out, _ = run_cli(capsys, "prepare", *zeros, "0.6", "0.8")
+        assert (code, out.partition(', "residual"')[0]) == (0, gates)
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join([*zeros, "0.6", "0.8"]) + "\n"))
+        code, out, _ = run_cli(capsys, "prepare")
+        assert (code, out.partition(', "residual"')[0]) == (0, gates)
+
 
 class TestConnect:
     def test_cross_orbit_plan(self, capsys):
@@ -636,7 +646,7 @@ def test_start_up_imports_only_the_core():
         f"runs = {[argv for runs, _ in START_UP_RUNS.values() for argv in runs]!r}\n"
         "codes = [main(argv) for argv in runs]\n"
         "watched = ['argparse', 'dataclasses', 'inspect', 'numpy'] + [\n"
-        "    f'realtwoqubit.{m}' for m in ('states', 'gates', 'simulator', 'geometry', 'synthesis')\n"
+        "    f'realtwoqubit.{m}' for m in ('states', 'geometry', 'synthesis')\n"
         "]\n"
         "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"
         "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,17 @@ class TestOrbitMesh:
             orbit_mesh(1.0, 8, 8)
         with pytest.raises(ValueError):
             orbit_mesh(0.1, 1, 8)
+
+    @pytest.mark.parametrize("make", [orbit_mesh, mesh_to_csv, mesh_to_json])
+    @pytest.mark.parametrize("n_a, n_b", [(2.9, 3.7), ("3", 2)])
+    def test_grid_sizes_must_be_integers(self, make, n_a, n_b):
+        # int() would make 2.9 the 2-point grid and read "3"; both are refused, by name.
+        with pytest.raises(ValueError, match=re.escape(f"grid sizes must be integers, got ({n_a!r}, {n_b!r})")):
+            make(0.3, n_a, n_b)
+
+    def test_numpy_integer_grid_sizes(self):
+        assert orbit_mesh(0.3, np.int64(4), 3) == orbit_mesh(0.3, 4, 3)
+        assert "".join(mesh_to_csv(0.3, 3, np.int64(4))) == "".join(mesh_to_csv(0.3, 3, 4))
 
     def test_csv_rendering(self):
         points = orbit_mesh(math.pi / 6, 4, 4)

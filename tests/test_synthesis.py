@@ -1,6 +1,7 @@
 """Local connections, one-CZ connections and preparation circuits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,14 @@ class TestIntersectionState:
             intersection_state(0.1, 0.1)
 
 
+@pytest.mark.parametrize("connect", [local_connect, cz_connect])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_connects_refuse_a_tol_that_is_not_positive_and_finite(connect, tol):
+    # An infinite tol would pass the empty circuit between two orthogonal states, residual sqrt(2).
+    with pytest.raises(ValueError, match=f"^tolerance must be positive and finite, got {re.escape(repr(tol))}$"):
+        connect(RealState(1, 0, 0, 0), RealState(0, 1, 0, 0), tol=tol)
+
+
 class TestCzConnect:
     def test_worked_golden_case(self):
         plan = cz_connect(ZERO, bell_basis_state(3))
@@ -259,6 +268,11 @@ class TestPrepare:
     def test_uniform_superposition_angle(self):
         t1, _, _ = preparation_angles(RealState(0.5, 0.5, 0.5, 0.5))
         assert t1 == pytest.approx(math.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("w1, w2", [(-0.0, 0.0), (-0.0, -0.0)])
+    def test_signed_zero_pair_prepared_like_zero(self, w1, w2):
+        # atan2(+-0.0, -0.0) is +-pi; Arg of a vanishing pair is 0 whatever the signs of its zeros.
+        assert repr(prepare(RealState(w1, w2, 0.6, 0.8))) == repr(prepare(RealState(0.0, 0.0, 0.6, 0.8)))
 
     def test_template_shape(self, rng):
         circ = prepare(_random_state(rng))
