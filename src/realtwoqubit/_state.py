@@ -28,13 +28,13 @@ def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tu
 
 def _to_bell(state) -> tuple:
     w1, w2, w3, w4 = state
-    x = (w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2
-    return _unit(*x, _BELL_NOUN)
+    # The change is orthogonal, so the norm checked is the caller's: an amplitude vector here, Bell coordinates below.
+    return _unit((w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2)
 
 
 def _from_bell(coords) -> tuple:
     x1, x2, x3, x4 = coords
-    return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
+    return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2, _BELL_NOUN)
 
 
 def _minor(state) -> float:

@@ -1,4 +1,4 @@
-"""The gate action, both connects and the preparation on plain tuples, and the prepare and connect records."""
+"""The gate action, the connect solver and the preparation on plain tuples, and the prepare and connect records."""
 
 import math
 
@@ -45,17 +45,6 @@ def residual(circuit, source, target) -> float:
     return sign_residual(_apply(circuit, source), target)
 
 
-def _local_connect(source, target, tol: float) -> tuple:
-    chart_s, chart_t = _chart(source), _chart(target)
-    gates = _leg(source, target, tol, chart_s, chart_t)
-    # An empty leg means the states are equal within tol, whatever their computed d.
-    if gates and abs(chart_s[0] - chart_t[0]) > tol:
-        raise OrbitMismatchError(
-            f"states lie on different orbits (d = {chart_s[0]!r} vs {chart_t[0]!r}); local gates preserve d"
-        )
-    return gates, None, residual(gates, source, target)
-
-
 def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -> tuple:
     """Local gates from source to a target on its orbit, from both charts, not yet simulated.
 
@@ -93,11 +82,15 @@ def _intersection(d0: float, d1: float) -> tuple:
     return _from_bell(_unit(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0), _BELL_NOUN))
 
 
-def _cz_connect(source, target, tol: float) -> tuple:
+def _connect(source, target, tol: float, local_only: bool = False) -> tuple:
+    """(gates, intermediate or None, residual): one local leg at equal d, else through one CZ, or refused if local_only."""
     chart_s, chart_t = _chart(source), _chart(target)
     d_s, d_t = chart_s[0], chart_t[0]
-    if abs(d_s - d_t) <= tol:
+    if local_only or abs(d_s - d_t) <= tol:
         gates = _leg(source, target, tol, chart_s, chart_t)
+        # An empty leg means the states are equal within tol, whatever their computed d.
+        if gates and abs(d_s - d_t) > tol:
+            raise OrbitMismatchError(f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d")
         return gates, None, residual(gates, source, target)
     swapped = d_s < d_t
     hi, lo = (target, source) if swapped else (source, target)
@@ -110,13 +103,6 @@ def _cz_connect(source, target, tol: float) -> tuple:
     return gates, mid, residual(gates, source, target)
 
 
-def _arg(re: float, im: float) -> float:
-    # atan2 is finite at the origin, but atan2(+-0.0, -0.0) is +-pi: Arg(0 + 0i) := 0 folds the signed zeros to 0.
-    if re == 0.0 and im == 0.0:
-        return 0.0
-    return math.atan2(im, re)
-
-
 def preparation_angles(target) -> tuple[float, float, float]:
     """Angles (t1, t0, t2) of the preparation template.
 
@@ -127,7 +113,8 @@ def preparation_angles(target) -> tuple[float, float, float]:
     with one rotation before and one after the CZ.
     """
     w1, w2, w3, w4 = target
-    t3, t4 = _arg(w1, w2), _arg(w3, w4)
+    # Adding 0.0 turns -0.0 into 0.0 and changes no other float, so atan2 never reads the sign of a zero: Arg(0 + 0i) is 0.
+    t3, t4 = math.atan2(w2 + 0.0, w1 + 0.0), math.atan2(w4 + 0.0, w3 + 0.0)
     t1 = 2.0 * math.atan2(math.hypot(w3, w4), math.hypot(w1, w2))
     return t1, _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
 
@@ -158,7 +145,7 @@ def _prepare_record(args, state: tuple) -> str:
 
 
 def _connect_record(args, source: tuple, target: tuple) -> str:
-    gates, mid, res = (_local_connect if args.local_only else _cz_connect)(source, target, args.tol)
+    gates, mid, res = _connect(source, target, args.tol, args.local_only)
     intermediate = "null" if mid is None else f'{{"w": [{mid[0]!r}, {mid[1]!r}, {mid[2]!r}, {mid[3]!r}]}}'
     return (
         f'{{"gates": {_gates_json(gates)}, "intermediate": {intermediate}, '

@@ -20,7 +20,9 @@ Three constructive results, each verified against the simulator:
   and t - s under Ry(2s) x Ry(2t), so matching both plane angles is a linear
   solve; an X on qubit 0 first swaps the sheets when the endpoints disagree,
   and on the circles, when 2 sin d <= tol, a single Ry(q0) suffices.
-* cz_connect: any two states are joined with at most one CZ.  The CZ image
+* cz_connect: any two states are joined with at most one CZ.  At equal d
+  the plan is local_connect's: one core solver, `_connect`, serves both
+  and refuses the CZ step for local_connect.  Otherwise the CZ image
   of the d0 torus meets the d1 torus (d0 > d1); one intersection point has
   Bell coordinates (0, sin d1, sqrt(sin^2 d0 - sin^2 d1), cos d0), reached
   locally from the source and left locally toward the target.
@@ -40,7 +42,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from ._core import DEFAULT_TOL, _checked_tol
-from ._synthesis import _apply, _cz_connect, _intersection, _inverse, _local_connect, _prepare
+from ._synthesis import _apply, _connect, _intersection, _inverse, _prepare
 from .states import RealState, _checked_dict, _number
 
 
@@ -185,7 +187,7 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
-    return _plan(*_local_connect(source, target, _checked_tol(tol)))
+    return _plan(*_connect(source, target, _checked_tol(tol), local_only=True))
 
 
 def intersection_state(d0: float, d1: float) -> RealState:
@@ -202,15 +204,15 @@ def intersection_state(d0: float, d1: float) -> RealState:
 def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:
     """Join any two states with local gates and at most one CZ.
 
-    Same orbit gets local_connect's plan (cz_count 0), minus its orbit check,
-    which cannot fail here.  Otherwise the plan runs locally from the higher-d
-    endpoint to the CZ preimage of the intersection state, applies CZ, and
-    runs locally to the lower-d endpoint; when the source is the lower one the
-    whole circuit is inverted, so the reported intermediate is the
-    intersection state either way.  Each endpoint is charted once, for the d
-    comparison and for its leg.
+    Same orbit, |d_s - d_t| <= tol, gets local_connect's plan (cz_count 0),
+    made by the same core solver, `_synthesis._connect`.  Otherwise the plan
+    runs locally from the higher-d endpoint to the CZ preimage of the
+    intersection state, applies CZ, and runs locally to the lower-d endpoint;
+    when the source is the lower one the whole circuit is inverted, so the
+    reported intermediate is the intersection state either way.  Each
+    endpoint is charted once, for the d comparison and for its leg.
     """
-    return _plan(*_cz_connect(source, target, _checked_tol(tol)))
+    return _plan(*_connect(source, target, _checked_tol(tol)))
 
 
 def prepare(target: RealState) -> Circuit:
@@ -218,5 +220,8 @@ def prepare(target: RealState) -> Circuit:
 
     Exact up to the global sign; the suite's convention test fixes this
     layout as the single consistent one for the simulator's conventions.
+    A target that is not a RealState is read by RealState.from_vector, which
+    refuses a vector that is not a state.
     """
+    target = target if isinstance(target, RealState) else RealState.from_vector(target)
     return Circuit(Gate(*g) for g in _prepare(target))

@@ -21,9 +21,12 @@ from realtwoqubit import (
     concurrence,
     cz_connect,
     entropy_from_concurrence,
+    entanglement_distance,
     entropy_from_distance,
+    local_connect,
     parametrize,
     prepare,
+    sample_orbit_states,
     sign_residual,
     to_bell,
     TorusPoint,
@@ -185,15 +188,16 @@ class TestPrepare:
         for line in lines:
             assert json.loads(line)["residual"] < 1e-10
 
-    @pytest.mark.parametrize("zeros", [["-0", "0"], ["-0", "-0"]])
+    @pytest.mark.parametrize(
+        "zeros", [["-0", "0", "0.6", "0.8"], ["-0", "-0", "0.6", "0.8"], ["1", "-0", "0", "0"], ["0.6", "-0", "0.8", "0"]]
+    )
     def test_signed_zero_pair_emits_the_gates_of_zero(self, zeros, capsys, monkeypatch):
-        # atan2(+-0.0, -0.0) is +-pi; Arg of a vanishing pair is 0 whatever the signs of its zeros.
-        gates = run_cli(capsys, "prepare", "0", "0", "0.6", "0.8")[1].partition(', "residual"')[0]
-        code, out, _ = run_cli(capsys, "prepare", *zeros, "0.6", "0.8")
-        assert (code, out.partition(', "residual"')[0]) == (0, gates)
-        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join([*zeros, "0.6", "0.8"]) + "\n"))
-        code, out, _ = run_cli(capsys, "prepare")
-        assert (code, out.partition(', "residual"')[0]) == (0, gates)
+        # An input with a -0 amplitude prints the bytes of its +0 twin: atan2 reads the sign of a zero.
+        expected = run_cli(capsys, "prepare", *("0" if float(t) == 0.0 else t for t in zeros))
+        assert expected[0] == 0
+        assert run_cli(capsys, "prepare", *zeros) == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(zeros) + "\n"))
+        assert run_cli(capsys, "prepare") == expected
 
 
 class TestConnect:
@@ -214,10 +218,26 @@ class TestConnect:
         assert data["cz_count"] == 0
         assert data["residual"] < 1e-10
 
-    def test_local_only_cross_orbit_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "connect", "--local-only", "1", "0", "0", "0", *V3_ARGS)
-        assert code == 3
-        assert "ORBIT_MISMATCH" in err
+    def test_local_only_cross_orbit_exits_3(self, capsys, rng):
+        (a,), (b,) = sample_orbit_states(0.2, 1, rng), sample_orbit_states(0.5, 1, rng)
+        for args in (["1", "0", "0", "0", *V3_ARGS], [repr(w) for w in (*a, *b)]):
+            code, out, err = run_cli(capsys, "connect", "--local-only", *args)
+            # The message names the d of each state as read from its text, the values the orbit check compared.
+            d_s, d_t = (entanglement_distance(RealState(*map(float, half))) for half in (args[:4], args[4:]))
+            assert (code, out) == (3, "")
+            assert err == f"error: ORBIT_MISMATCH: states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d\n"
+
+    def test_local_only_prints_connect_on_same_orbit_pairs(self, capsys, monkeypatch, rng):
+        # One solver serves both: on a same-orbit pair --local-only only refuses a CZ that is never needed.
+        pairs = [sample_orbit_states(d, 2, rng) for d in (0.0, 1e-9, 0.2, 0.31, 0.6, math.pi / 4 - 1e-9, math.pi / 4) for _ in range(6)]
+        stdin = "".join(" ".join(repr(w) for w in (*a, *b)) + "\n" for a, b in pairs)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, "connect")
+        assert (code, err, out.count('"cz_count": 0')) == (0, "", len(pairs))
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run_cli(capsys, "connect", "--local-only") == (code, out, err)
+        for a, b in pairs:
+            assert local_connect(a, b) == cz_connect(a, b)
 
     def test_wrong_arity(self, capsys):
         code, _, _ = run_cli(capsys, "connect", "1", "0", "0", "0")

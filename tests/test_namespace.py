@@ -13,7 +13,7 @@ MOVED = {
     "states": "_BELL_NOUN _unit _to_bell _from_bell concurrence sign_residual",
     "geometry": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
     "entropy_from_concurrence _checked_grid _mesh_rows mesh_to_csv",
-    "synthesis": "_inverse _apply _local_connect _intersection _cz_connect _prepare",
+    "synthesis": "_inverse _apply _intersection _connect _prepare",
 }
 
 #: The part of the core that defines each moved name.
@@ -23,7 +23,7 @@ PART = {
         "_core": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 _checked_distance",
         "_state": "_BELL_NOUN _unit _to_bell _from_bell concurrence sign_residual _chart",
         "_classify": "DEFAULT_CLASS_TOL entropy_from_concurrence",
-        "_synthesis": "_inverse _apply _local_connect _intersection _cz_connect _prepare",
+        "_synthesis": "_inverse _apply _intersection _connect _prepare",
         "_mesh": "_checked_grid _mesh_rows mesh_to_csv",
     }.items()
     for name in names.split()

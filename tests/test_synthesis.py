@@ -169,6 +169,27 @@ def test_connects_refuse_a_tol_that_is_not_positive_and_finite(connect, tol):
         connect(RealState(1, 0, 0, 0), RealState(0, 1, 0, 0), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "vec", [(3.0, 4.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)], ids=["5", "0", "nan", "2"]
+)
+@pytest.mark.parametrize(
+    "call, noun",
+    [
+        pytest.param(classify, "amplitude", id="classify"),
+        pytest.param(to_bell, "amplitude", id="to_bell"),
+        pytest.param(prepare, "amplitude", id="prepare"),
+        pytest.param(lambda vec: cz_connect(vec, ZERO), "amplitude", id="cz_connect-source"),
+        pytest.param(lambda vec: cz_connect(ZERO, vec), "amplitude", id="cz_connect-target"),
+        pytest.param(lambda vec: local_connect(vec, ZERO), "amplitude", id="local_connect-source"),
+        pytest.param(from_bell, "Bell coordinate", id="from_bell"),
+    ],
+)
+def test_a_vector_that_is_not_a_state_is_refused_in_the_callers_terms(call, noun, vec):
+    # Each error names the kind of vector the caller passed, not the one the function turns it into.
+    with pytest.raises(ValueError, match=f"^{noun} (vector has norm|components must be finite)"):
+        call(vec)
+
+
 class TestCzConnect:
     def test_worked_golden_case(self):
         plan = cz_connect(ZERO, bell_basis_state(3))
@@ -197,6 +218,7 @@ class TestCzConnect:
         assert plan.cz_count == 0
         assert all(g.kind != "cz" for g in plan.circuit)
         assert plan.residual < 1e-10
+        assert plan == local_connect(src, tgt)
 
     def test_upward_direction_is_inverted_plan(self, rng):
         # source at lower d than target exercises the circuit reversal
@@ -269,10 +291,20 @@ class TestPrepare:
         t1, _, _ = preparation_angles(RealState(0.5, 0.5, 0.5, 0.5))
         assert t1 == pytest.approx(math.pi / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("w1, w2", [(-0.0, 0.0), (-0.0, -0.0)])
-    def test_signed_zero_pair_prepared_like_zero(self, w1, w2):
-        # atan2(+-0.0, -0.0) is +-pi; Arg of a vanishing pair is 0 whatever the signs of its zeros.
-        assert repr(prepare(RealState(w1, w2, 0.6, 0.8))) == repr(prepare(RealState(0.0, 0.0, 0.6, 0.8)))
+    @pytest.mark.parametrize(
+        "signed",
+        [
+            pytest.param((-0.0, 0.0, 0.6, 0.8), id="-0.0-0.0"),
+            pytest.param((-0.0, -0.0, 0.6, 0.8), id="-0.0--0.0"),
+            pytest.param((1.0, -0.0, 0.0, 0.0), id="1.0--0.0-0.0-0.0"),
+            pytest.param((0.6, -0.0, 0.8, 0.0), id="0.6--0.0-0.8-0.0"),
+            pytest.param((1.0, 0.0, -0.0, -0.0), id="1.0-0.0--0.0--0.0"),
+        ],
+    )
+    def test_signed_zero_pair_prepared_like_zero(self, signed):
+        # atan2 reads the sign of a zero: atan2(+-0.0, -0.0) is +-pi and atan2(-0.0, 1.0) is -0.0, which repr keeps.
+        plain = tuple(0.0 if w == 0.0 else w for w in signed)
+        assert repr(prepare(RealState(*signed))) == repr(prepare(RealState(*plain)))
 
     def test_template_shape(self, rng):
         circ = prepare(_random_state(rng))
