@@ -6,7 +6,7 @@ module that defines it on first use (PEP 562).
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 #: The module that defines each public name.
 _HOME = {

@@ -20,7 +20,7 @@ Only `sys` and the core's shared base `_core` are imported at start-up.  A
 subcommand imports its part of the core as it runs: `_state` with `_classify`
 or `_synthesis`, or `_mesh` alone, and help and usage errors `_usage`.  So a
 run compiles only what it executes and loads neither argparse nor dataclasses
-nor numpy nor the object API; `sample` imports `geometry` and numpy.
+nor the object API; `sample` imports `geometry`.
 """
 
 import importlib

@@ -25,10 +25,9 @@ TorusPoint and MeshPoint records and adds the parametrization of a sheet and
 the sampling of an orbit, with the `sample` subcommand.
 """
 
-from __future__ import annotations
-
 import math
-from typing import TYPE_CHECKING, NamedTuple
+import operator
+from typing import NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
 from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance
@@ -37,9 +36,6 @@ from ._mesh import _checked_grid, _mesh_rows
 from ._mesh import mesh_to_csv  # noqa: F401
 from ._state import _chart, _to_bell, on_v34_side
 from .states import BellCoords, RealState, from_bell
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Below this sin(d) the torus angle `a` is undefined (states on a circle).
 _DEGENERATE_SIN_D = 1e-9
@@ -167,9 +163,18 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     return [MeshPoint(u1, u2, u3, d, sheet) for row in _mesh_rows(d, n_a, n_b, float) for u1, u2, u3, sheet in row]
 
 
-def sample_orbit_states(d: float, count: int, rng: np.random.Generator) -> list[RealState]:
-    """Random states on the orbit at distance d: uniform angles, fair-coin sheet."""
+def sample_orbit_states(d: float, count: int, rng) -> list[RealState]:
+    """Random states on the orbit at distance d: uniform angles, fair-coin sheet.
+
+    `rng` is any object with random() and uniform(a, b), such as a
+    random.Random or a numpy Generator.  Raises ValueError for a count that
+    is not a non-negative integer.
+    """
     d = _checked_distance(d)
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(f"count must be an integer, got {count!r}") from None
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     out = []
@@ -183,9 +188,7 @@ def _cmd_sample(args) -> None:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     import json
+    import random
 
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
-    states = sample_orbit_states(args.d, args.count, rng)
+    states = sample_orbit_states(args.d, args.count, random.Random(args.seed))
     print(json.dumps({"d": args.d, "states": [s.to_dict() for s in states]}))

@@ -20,17 +20,11 @@ loader reads.  So every function that only reads a state takes either form,
 and the functions that return one wrap the tuple without checking it again.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
 # Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
 from ._state import concurrence, sign_residual  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
@@ -92,12 +86,6 @@ class _UnitVector:
 
     # The named tuple's own _make, which _replace calls too, would skip the constructor's check.
     _make = from_vector
-
-    @property
-    def vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self)
 
     def to_dict(self) -> dict:
         return {self._key: list(self)}

@@ -47,7 +47,7 @@ def reduced_density_matrix(state: RealState, qubit: int = 0) -> np.ndarray:
     """2x2 reduced state of `qubit` (partial trace over the other qubit)."""
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit!r}")
-    w = state.vector.reshape(2, 2)
+    w = np.array(state).reshape(2, 2)
     return w @ w.T if qubit == 0 else w.T @ w
 
 
@@ -90,7 +90,7 @@ def surface_gram_det(state: RealState, s: float, t: float) -> float:
     distance d, which is why the surface immerses exactly away from the
     maximally entangled circles.
     """
-    w = state.vector
+    w = np.array(state)
     r0, r1 = ry_matrix(2.0 * s), ry_matrix(2.0 * t)
     d0, d1 = 2.0 * ry_matrix_deriv(2.0 * s), 2.0 * ry_matrix_deriv(2.0 * t)
     tan_s = np.kron(d0, r1) @ w

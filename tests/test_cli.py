@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -326,16 +327,19 @@ class TestMesh:
 
 class TestSample:
     def test_seeded_output_pinned(self, capsys):
+        # --seed N draws from random.Random(N); the numpy stream stays pinned in the library tests.
         code, out, _ = run_cli(capsys, "sample", "--d", "0.3", "--seed", "7", "--count", "5")
         assert code == 0
+        states = sample_orbit_states(0.3, 5, random.Random(7))
+        assert out == json.dumps({"d": 0.3, "states": [s.to_dict() for s in states]}) + "\n"
         assert json.loads(out) == {
             "d": 0.3,
             "states": [
-                {"w": [0.2754286229598019, -0.792513313677788, -0.5409798925851104, 0.058330756179924136]},
-                {"w": [0.40852592414261607, -0.2833206432108774, 0.680659292049593, 0.5380881996295246]},
-                {"w": [0.28731348187644123, -0.8345812358820117, 0.457812756758129, 0.10645470208127067]},
-                {"w": [-0.1883587922644001, 0.8622497406558056, -0.46730861597040213, -0.05166243853632784]},
-                {"w": [-0.8718935311825223, 0.05138765281739033, 0.08999209674201047, -0.47860464053743573]},
+                {"w": [-0.2719255166071195, -0.3791244086942572, 0.7185416799647768, -0.5157703464756164]},
+                {"w": [-0.6525978807965953, 0.45806664623604254, -0.5514938496760442, -0.24524576929144762]},
+                {"w": [0.4481280809416084, 0.14792095843968106, -0.16743952142707288, 0.8656007276973318]},
+                {"w": [0.7578945635162125, 0.45331683230492203, -0.2757150411136822, 0.3795798944165529]},
+                {"w": [0.5782784006245316, 0.28898708773697296, -0.6591311076717579, 0.3842222499958044]},
             ],
         }
 
@@ -677,7 +681,7 @@ def test_start_up_imports_only_the_core():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0] [] ['numpy', 'realtwoqubit.geometry']"
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0] [] ['realtwoqubit.geometry']"
     # Each subcommand, in a fresh interpreter, compiles only its own part of the core.
     for command, (runs, parts) in START_UP_RUNS.items():
         script = (

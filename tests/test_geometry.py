@@ -207,19 +207,19 @@ class TestTorusAngles:
             sheet = "V34" if rng.random() < 0.5 else "V12"
             s = parametrize(TorusPoint(d, rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), sheet))
             back = parametrize(torus_angles(s))
-            assert float(np.linalg.norm(back.vector - s.vector)) < 1e-10
+            assert float(np.linalg.norm(np.array(back) - np.array(s))) < 1e-10
 
 
 class TestParametrize:
     def test_product_corner(self):
         s = parametrize(TorusPoint(PI4, 0.0, 0.0, "V34"))
-        np.testing.assert_allclose(s.vector, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(s), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_degenerate_circle_limit(self):
         for theta in (0.0, 0.9, 2.5):
             s = parametrize(TorusPoint(0.0, 123.0, theta, "V34"))
-            expect = math.cos(theta) * bell_basis_state(3).vector + math.sin(theta) * bell_basis_state(4).vector
-            np.testing.assert_allclose(s.vector, expect, atol=1e-15)
+            expect = math.cos(theta) * np.array(bell_basis_state(3)) + math.sin(theta) * np.array(bell_basis_state(4))
+            np.testing.assert_allclose(np.array(s), expect, atol=1e-15)
 
     def test_quadrics_hold(self, rng):
         s = parametrize(TorusPoint(math.pi / 6, 0.7, -1.1, "V34"))
@@ -243,7 +243,7 @@ class TestOrbitSurface:
     def test_zero_angles_identity(self, rng):
         s = _random_state(rng)
         out = orbit_surface(s, 0.0, 0.0)
-        assert float(np.linalg.norm(out.vector - s.vector)) < 1e-15
+        assert float(np.linalg.norm(np.array(out) - np.array(s))) < 1e-15
 
     def test_stays_on_quadric(self, rng):
         base = parametrize(TorusPoint(math.pi / 6, 0.3, 1.8, "V34"))
@@ -433,10 +433,23 @@ class TestSampling:
     def test_deterministic_under_seed(self):
         a = sample_orbit_states(0.3, 5, np.random.default_rng(42))
         b = sample_orbit_states(0.3, 5, np.random.default_rng(42))
-        assert all(np.array_equal(x.vector, y.vector) for x, y in zip(a, b))
+        assert all(np.array_equal(np.array(x), np.array(y)) for x, y in zip(a, b))
+
+    def test_numpy_generator_stream_pinned(self):
+        # The states `sample --d 0.3 --seed 7 --count 5` printed while it drew from numpy's default_rng.
+        assert [list(s) for s in sample_orbit_states(0.3, 5, np.random.default_rng(7))] == [
+            [0.2754286229598019, -0.792513313677788, -0.5409798925851104, 0.058330756179924136],
+            [0.40852592414261607, -0.2833206432108774, 0.680659292049593, 0.5380881996295246],
+            [0.28731348187644123, -0.8345812358820117, 0.457812756758129, 0.10645470208127067],
+            [-0.1883587922644001, 0.8622497406558056, -0.46730861597040213, -0.05166243853632784],
+            [-0.8718935311825223, 0.05138765281739033, 0.08999209674201047, -0.47860464053743573],
+        ]
 
     def test_domain_and_count_checked(self, rng):
         with pytest.raises(ValueError):
             sample_orbit_states(1.0, 3, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="count must be non-negative, got -1"):
             sample_orbit_states(0.1, -1, rng)
+        for count in (2.5, "3", None):
+            with pytest.raises(ValueError, match=re.escape(f"count must be an integer, got {count!r}")):
+                sample_orbit_states(0.1, count, rng)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,9 @@ PART = {
     }.items()
     for name in names.split()
 }
+
+#: Every module of the package, by name.
+MODULES = sorted(path.stem for path in Path(realtwoqubit.__file__).parent.glob("*.py"))
 
 #: Core names a module imports without calling them: perfbench/spans.py traces them by these paths.
 TRACED_REEXPORTS = {"states": {"concurrence", "sign_residual"}, "geometry": {"mesh_to_csv"}}
@@ -64,7 +68,7 @@ def test_moved_name_is_reexported(module, name):
     assert getattr(importlib.import_module(f"realtwoqubit.{module}"), name) is vars(part)[name]
 
 
-@pytest.mark.parametrize("module", sorted(path.stem for path in Path(realtwoqubit.__file__).parent.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES)
 def test_core_imports_are_used(module):
     # Each public name has one import path, realtwoqubit.<name>: a module imports from the package only what it calls.
     tree = ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text())
@@ -76,6 +80,15 @@ def test_core_imports_are_used(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used == TRACED_REEXPORTS.get(module, set())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_the_stdlib(module):
+    # The installed package has no dependency: every absolute import, also one inside a function, is stdlib.
+    tree = ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert sorted(name for name in imported if name.split(".")[0] not in sys.stdlib_module_names) == []
 
 
 def test_each_name_is_defined_once():

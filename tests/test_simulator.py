@@ -78,16 +78,16 @@ class TestApply:
         v3, v4 = bell_basis_state(3), bell_basis_state(4)
         for t in np.linspace(-3.0, 3.0, 13):
             out = apply(Circuit((Gate.ry(0, -2.0 * t),)), v3)
-            expect = math.cos(t) * v3.vector + math.sin(t) * v4.vector
-            np.testing.assert_allclose(out.vector, expect, atol=1e-14)
+            expect = math.cos(t) * np.array(v3) + math.sin(t) * np.array(v4)
+            np.testing.assert_allclose(np.array(out), expect, atol=1e-14)
 
     def test_x_on_qubit0_sends_v1_to_minus_v4(self):
         out = apply(Circuit((Gate.x(0),)), bell_basis_state(1))
-        np.testing.assert_allclose(out.vector, [0.0, -ISQ2, ISQ2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(out), [0.0, -ISQ2, ISQ2, 0.0], atol=1e-15)
 
     def test_ry_on_qubit1(self):
         out = apply(Circuit((Gate.ry(1, math.pi / 2),)), RealState(1.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(out.vector, [ISQ2, ISQ2, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(out), [ISQ2, ISQ2, 0.0, 0.0], atol=1e-15)
 
     def test_empty_circuit_is_identity(self, rng):
         s = _random_state(rng)
@@ -96,10 +96,10 @@ class TestApply:
     def test_left_to_right_order(self, rng):
         s = _random_state(rng)
         circ = Circuit((Gate.ry(0, 0.7), Gate.x(0), Gate.cz()))
-        vec = s.vector
+        vec = np.array(s)
         for g in circ:
             vec = gate_matrix(g) @ vec
-        np.testing.assert_allclose(apply(circ, s).vector, vec, atol=1e-15)
+        np.testing.assert_allclose(np.array(apply(circ, s)), vec, atol=1e-15)
 
     def test_closed_form_matches_dense_kronecker_product(self, rng):
         # apply acts on the amplitudes in closed form; gate_matrix is the
@@ -119,7 +119,7 @@ class TestApply:
             dense = np.eye(4)
             for g in circ:
                 dense = gate_matrix(g) @ dense
-            np.testing.assert_allclose(apply(circ, s).vector, dense @ s.vector, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.array(apply(circ, s)), dense @ np.array(s), rtol=0, atol=1e-14)
 
     def test_cz_involution(self, rng):
         twice = Circuit((Gate.cz(), Gate.cz()))
@@ -132,7 +132,7 @@ class TestApply:
             s = _random_state(rng)
             c = _random_local_circuit(rng)
             round_trip = apply(c.inverse(), apply(c, s))
-            assert float(np.linalg.norm(round_trip.vector - s.vector)) < 1e-13
+            assert float(np.linalg.norm(np.array(round_trip) - np.array(s))) < 1e-13
 
 
 class TestReducedDensity:
@@ -153,8 +153,8 @@ class TestReducedDensity:
 
     def test_reduced_matrix_is_partial_trace(self, rng):
         s = _random_state(rng)
-        w = s.vector.reshape(2, 2)
-        rho_full = np.outer(s.vector, s.vector).reshape(2, 2, 2, 2)
+        w = np.array(s).reshape(2, 2)
+        rho_full = np.outer(np.array(s), np.array(s)).reshape(2, 2, 2, 2)
         np.testing.assert_allclose(reduced_density_matrix(s, 0), np.einsum("ikjk->ij", rho_full), atol=1e-15)
         np.testing.assert_allclose(reduced_density_matrix(s, 1), np.einsum("kikj->ij", rho_full), atol=1e-15)
         np.testing.assert_allclose(reduced_density_matrix(s, 0), w @ w.T, atol=1e-15)
@@ -179,7 +179,7 @@ class TestEntropy:
     def test_entropy_pi_over_6_matches_independent_oracle(self):
         s = parametrize(TorusPoint(math.pi / 6, 0.7, -1.1, "V34"))
         # Independent oracle: numpy partial trace + eigvalsh, no closed forms.
-        w = s.vector.reshape(2, 2)
+        w = np.array(s).reshape(2, 2)
         lam = np.linalg.eigvalsh(w @ w.T)
         oracle = -sum(v * math.log2(v) for v in lam if v > 1e-15)
         assert abs(oracle - ENTROPY_AT_PI_6) < 1e-13

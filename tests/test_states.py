@@ -38,7 +38,7 @@ def _random_state(rng):
 class TestConstruction:
     def test_small_norm_drift_is_renormalized(self):
         s = RealState(1.0 + 5e-7, 0.0, 0.0, 0.0)
-        assert math.isclose(np.linalg.norm(s.vector), 1.0, abs_tol=1e-12)
+        assert math.isclose(np.linalg.norm(np.array(s)), 1.0, abs_tol=1e-12)
         assert s.w1 == pytest.approx(1.0, abs=1e-6)
 
     def test_large_norm_deviation_rejected(self):
@@ -92,37 +92,37 @@ class TestConstruction:
     def test_unit_norm_invariant(self, rng):
         for _ in range(200):
             s = _random_state(rng)
-            assert abs(float(np.linalg.norm(s.vector)) - 1.0) < 1e-12
+            assert abs(float(np.linalg.norm(np.array(s))) - 1.0) < 1e-12
 
 
 class TestBellBasis:
     def test_bell_basis_states_are_the_four_bell_vectors(self):
-        np.testing.assert_allclose(bell_basis_state(1).vector, [ISQ2, 0, 0, -ISQ2], atol=1e-15)
-        np.testing.assert_allclose(bell_basis_state(2).vector, [0, ISQ2, ISQ2, 0], atol=1e-15)
-        np.testing.assert_allclose(bell_basis_state(3).vector, [ISQ2, 0, 0, ISQ2], atol=1e-15)
-        np.testing.assert_allclose(bell_basis_state(4).vector, [0, ISQ2, -ISQ2, 0], atol=1e-15)
+        np.testing.assert_allclose(np.array(bell_basis_state(1)), [ISQ2, 0, 0, -ISQ2], atol=1e-15)
+        np.testing.assert_allclose(np.array(bell_basis_state(2)), [0, ISQ2, ISQ2, 0], atol=1e-15)
+        np.testing.assert_allclose(np.array(bell_basis_state(3)), [ISQ2, 0, 0, ISQ2], atol=1e-15)
+        np.testing.assert_allclose(np.array(bell_basis_state(4)), [0, ISQ2, -ISQ2, 0], atol=1e-15)
         with pytest.raises(ValueError):
             bell_basis_state(0)
 
     def test_to_bell_of_zero_ket(self):
         x = to_bell(RealState(1.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(x.vector, [ISQ2, 0.0, ISQ2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(x), [ISQ2, 0.0, ISQ2, 0.0], atol=1e-15)
 
     def test_to_bell_of_bell_vectors(self):
-        np.testing.assert_allclose(to_bell(bell_basis_state(3)).vector, [0, 0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(to_bell(bell_basis_state(1)).vector, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(np.array(to_bell(bell_basis_state(3))), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(np.array(to_bell(bell_basis_state(1))), [1, 0, 0, 0], atol=1e-15)
 
     def test_from_bell_hand_expansion(self):
         # (v3 + v4)/sqrt(2) expanded by hand in computational amplitudes.
         s = from_bell(BellCoords(0.0, 0.0, ISQ2, ISQ2))
-        np.testing.assert_allclose(s.vector, [0.5, 0.5, -0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(np.array(s), [0.5, 0.5, -0.5, 0.5], atol=1e-15)
 
     def test_round_trip_many(self, rng):
         # Module invariant: 1e4 random unit vectors survive both round trips.
         for _ in range(10_000):
             s = _random_state(rng)
             back = from_bell(to_bell(s))
-            assert float(np.linalg.norm(back.vector - s.vector)) < 1e-12
+            assert float(np.linalg.norm(np.array(back) - np.array(s))) < 1e-12
 
     def test_bell_coordinate_identity(self, rng):
         # x1^2 + x2^2 = (1 - 2(w1 w4 - w2 w3))/2
@@ -153,7 +153,7 @@ class TestConcurrence:
 class TestSignBlindEquality:
     def test_equal_and_negated(self, rng):
         s = _random_state(rng)
-        neg = RealState.from_vector(-s.vector)
+        neg = RealState.from_vector(-np.array(s))
         assert states_equal_up_to_sign(s, s)
         assert states_equal_up_to_sign(s, neg)
         assert sign_residual(s, neg) < 1e-15
@@ -175,12 +175,12 @@ class TestSignBlindEquality:
 class TestJson:
     def test_state_round_trip(self, rng):
         s = _random_state(rng)
-        assert RealState.from_dict(s.to_dict()).vector == pytest.approx(list(s.vector))
+        assert np.array(RealState.from_dict(s.to_dict())) == pytest.approx(list(np.array(s)))
         assert list(s.to_dict()) == ["w"]
 
     def test_bell_round_trip(self, rng):
         x = to_bell(_random_state(rng))
-        assert BellCoords.from_dict(x.to_dict()).vector == pytest.approx(list(x.vector))
+        assert np.array(BellCoords.from_dict(x.to_dict())) == pytest.approx(list(np.array(x)))
         assert list(x.to_dict()) == ["x"]
 
     @pytest.mark.parametrize(

@@ -58,7 +58,7 @@ class TestLocalConnect:
 
     def test_negated_state_empty_circuit(self, rng):
         s = _random_state(rng)
-        plan = local_connect(s, RealState.from_vector(-s.vector))
+        plan = local_connect(s, RealState.from_vector(-np.array(s)))
         assert len(plan.circuit) == 0
 
     def test_bell_circle_crossing(self):
@@ -196,11 +196,11 @@ class TestCzConnect:
         assert plan.cz_count == 1
         assert sum(1 for g in plan.circuit if g.kind == "cz") == 1
         x = to_bell(plan.intermediate)
-        np.testing.assert_allclose(x.vector, [0.0, 0.0, math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-        np.testing.assert_allclose(plan.intermediate.vector, [0.5, 0.5, -0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.array(x), [0.0, 0.0, math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+        np.testing.assert_allclose(np.array(plan.intermediate), [0.5, 0.5, -0.5, 0.5], atol=1e-12)
         # the CZ preimage of the intermediate is a product state
         mid_cz = apply(Circuit((Gate.cz(),)), plan.intermediate)
-        np.testing.assert_allclose(mid_cz.vector, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
+        np.testing.assert_allclose(np.array(mid_cz), [0.5, 0.5, -0.5, -0.5], atol=1e-12)
         assert classify(mid_cz).kind == "product"
         assert plan.residual < 1e-9
 
