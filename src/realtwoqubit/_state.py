@@ -1,4 +1,4 @@
-"""The state primitives on 4-tuples that classify, prepare and connect share, and their input reader."""
+"""The state primitives on 4-tuples that classify, prepare and connect share, and their per-line loop."""
 
 import math
 import sys
@@ -88,10 +88,10 @@ def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
     return [*map(_unit, *[iter(values)] * 4)]  # one iterator four times: each _unit takes the next four values
 
 
-def _input_batches(args_values: list[float], per_line: int):
-    """Yield lists of unit 4-tuples, one per input: argv values or stdin lines."""
-    if args_values:
-        yield _states_from_values(args_values, per_line)
+def _records(run, args):
+    """Yield the record of each input: the argv numbers, else each non-blank stdin line, its errors led by `line N: `."""
+    if args.values:
+        yield run(args, *_states_from_values(args.values, args.per_line))
         return
     for number, line in enumerate(sys.stdin, 1):
         tokens = line.split()
@@ -102,7 +102,6 @@ def _input_batches(args_values: list[float], per_line: int):
                 values = [*map(float, tokens)]
             except ValueError:
                 raise ValueError(f"malformed input line {line.strip()!r}") from None
-            states = _states_from_values(values, per_line)
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        yield states
+            yield run(args, *_states_from_values(values, args.per_line))
+        except ValueError as exc:  # parsing, checking or writing; the class is kept, so ORBIT_MISMATCH still exits 3
+            raise type(exc)(f"line {number}: {exc}") from None

@@ -124,11 +124,10 @@ def _prepare(target) -> tuple:
     return ("ry", 0, t1), ("ry", 1, t0), _CZ, ("ry", 1, t2)
 
 
-#: The JSON of each gate without an angle: only those are looked up, so no angle is hashed.
+#: The JSON of each gate without an angle that _prepare and _connect emit: only those are looked up, so no angle is hashed.
 _FIXED_GATE_JSON = {
     ("cz", None, None): '{"kind": "cz"}',
     ("x", 0, None): '{"kind": "x", "qubit": 0}',
-    ("x", 1, None): '{"kind": "x", "qubit": 1}',
 }
 
 _ZERO = (1.0, 0.0, 0.0, 0.0)

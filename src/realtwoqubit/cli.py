@@ -4,10 +4,13 @@ Subcommands: classify, prepare, connect, mesh, sample.  All numeric work
 happens in the library; this layer only parses arguments, shuttles JSON/CSV,
 and maps errors to exit codes (0 ok, 1 stdout closed early, 2 malformed
 input or usage, 3 orbit mismatch under --local-only).  States can also be
-piped on stdin, one whitespace-separated state per line, for batch runs; an
-error on a stdin line names its line number.  Each input state is validated
-once, as it is read; the work then runs on plain 4-tuples, and each record
-is one f-string of reprs, byte for byte what json.dumps writes.
+piped on stdin, one whitespace-separated state per line, for batch runs.
+Any error on a stdin line, in reading, checking or making its record, names
+the line and keeps its exit code, as in `error: ORBIT_MISMATCH: line 2:
+states lie on different orbits (...)`; errors in argv name no line.  One
+loop, `_state._records`, does that per-line work: each input state is
+validated once, as it is read; the work then runs on plain 4-tuples, and
+each record is one f-string of reprs, byte for byte what json.dumps writes.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -117,12 +120,9 @@ def main(argv=None) -> int:
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)
         if args.per_line:  # classify, prepare and connect: one record per input, written as soon as it is made
-            from functools import partial
-            from itertools import starmap
+            from ._state import _records
 
-            from ._state import _input_batches
-
-            sys.stdout.writelines(starmap(partial(run, args), _input_batches(args.values, args.per_line)))
+            sys.stdout.writelines(_records(run, args))
         else:
             run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush

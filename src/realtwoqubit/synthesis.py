@@ -35,8 +35,6 @@ source.  All emitted angles are normalized to (-pi, pi].  Both connects
 refuse a tol that is not positive and finite.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from typing import NamedTuple

@@ -576,8 +576,20 @@ class TestBatchErrors:
         code, out, err = run_cli(capsys, "connect", "--local-only")
         assert (code, out) == (3, "")
         assert err == (
-            "error: ORBIT_MISMATCH: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
+            "error: ORBIT_MISMATCH: line 1: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
             "local gates preserve d\n"
+        )
+
+    def test_orbit_mismatch_names_its_line(self, capsys, monkeypatch):
+        # The record writer's error is numbered like a reader's: line 2 is blank and still counts, line 4 never runs.
+        first = run_cli(capsys, "connect", "--local-only", *PAIR)[1]
+        cross = " ".join(["1", "0", "0", "0", *V3_ARGS])
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{' '.join(PAIR)}\n\n{cross}\n{' '.join(PAIR)}\n"))
+        assert run_cli(capsys, "connect", "--local-only") == (
+            3,
+            first,
+            "error: ORBIT_MISMATCH: line 3: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
+            "local gates preserve d\n",
         )
 
 

@@ -91,6 +91,12 @@ def test_module_imports_only_the_stdlib(module):
     assert sorted(name for name in imported if name.split(".")[0] not in sys.stdlib_module_names) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_module_parses_as_python_3_10(module):
+    # pyproject.toml claims requires-python >= 3.10: no module may use a later grammar.
+    ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text(), feature_version=(3, 10))
+
+
 def test_each_name_is_defined_once():
     # Each function, class and constant of the package has one definition, in one module.
     names = []
