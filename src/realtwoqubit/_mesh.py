@@ -93,11 +93,12 @@ def mesh_to_csv(d: float, n_a: int, n_b: int):
 def mesh_to_json(d: float, n_a: int, n_b: int):
     """orbit_mesh(d, n_a, n_b) as JSON text {"d": d, "points": [{"u": [u1, u2, u3], "sheet": ...}, ...]}.
 
-    One chunk per grid row.  Joined, byte for byte what json.dumps writes with its default
-    separators for a float d, plus a newline.  A bad request raises ValueError here, as in mesh_to_csv.
+    d is clamped into [0, pi/4], as in the CSV d column.  One chunk per grid row.  Joined, byte for byte what
+    json.dumps writes with its default separators for a float d, plus a newline.  A bad request raises ValueError
+    here, as in mesh_to_csv.
     """
-    checked, n_a, n_b = _checked_grid(d, n_a, n_b)
-    rows = _mesh_rows(checked, n_a, n_b, repr)
+    d, n_a, n_b = _checked_grid(d, n_a, n_b)
+    rows = _mesh_rows(d, n_a, n_b, repr)
     text = (
         (", " if i else "") + ", ".join([f'{{"u": [{u1}, {u2}, {u3}], "sheet": "{s}"}}' for u1, u2, u3, s in row])
         for i, row in enumerate(rows)

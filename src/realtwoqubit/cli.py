@@ -11,6 +11,9 @@ states lie on different orbits (...)`; errors in argv name no line.  One
 loop, `_state._records`, does that per-line work: each input state is
 validated once, as it is read; the work then runs on plain 4-tuples, and
 each record is one f-string of reprs, byte for byte what json.dumps writes.
+Stdin is taken a read at a time, as much as it holds, and the records of
+each read go to stdout as one write, flushed at once: none is held while
+the program waits for input, and the records before a bad line stay.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -110,6 +113,19 @@ def parse_args(argv: list[str]) -> _Args:
     return args
 
 
+def _write_all(text: str) -> None:
+    """Write text to stdout in full, or raise, and flush it, so that no record waits while stdin does."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # an in-memory stream
+        sys.stdout.write(text)
+        return
+    # Under python -u, out is the raw file: a write into a pipe that its reader closed may take only part.
+    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while view:
+        view = view[out.write(view):]
+    out.flush()
+
+
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
@@ -119,10 +135,11 @@ def main(argv=None) -> int:
         # The subcommand's part is imported only now, so a run compiles none of the others.
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)
-        if args.per_line:  # classify, prepare and connect: one record per input, written as soon as it is made
+        if args.per_line:  # classify, prepare and connect: one record per input, written once per stdin read
             from ._state import _records
 
-            sys.stdout.writelines(_records(run, args))
+            for text in _records(run, args):
+                _write_all(text)
         else:
             run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush

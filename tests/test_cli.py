@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,14 @@ class TestMesh:
         code, out, _ = run_cli(capsys, "mesh", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+    @pytest.mark.parametrize("d", ["-1e-13", "0.7853981633974484"])
+    def test_json_d_is_the_csv_d(self, d, capsys):
+        # Both formats write the d the mesh is walked at: the caller's, clamped into [0, pi/4].
+        grid = [f"--d={d}", "--na", "2", "--nb", "2"]
+        csv_d = run_cli(capsys, "mesh", *grid, "--format", "csv")[1].splitlines()[1].split(",")[3]
+        json_d = json.loads(run_cli(capsys, "mesh", *grid)[1])["d"]
+        assert (json_d, csv_d) == (min(max(float(d), 0.0), math.pi / 4), repr(json_d))
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "mesh.csv"
@@ -649,6 +658,117 @@ def test_closed_stdout_ends_the_run_quietly(argv, stdin, tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENTRY = "import sys; from realtwoqubit.cli import main; sys.exit(main())"
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+def _child_env(unbuffered: bool) -> dict:
+    """A CLI child's environment: the package from src/, UTF-8 stdio, and a raw (python -u) or buffered stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONIOENCODING"] = "utf-8"
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@BUFFERING
+def test_closed_stdout_after_one_large_read(unbuffered, tmp_path):
+    # 1,000 lines are one stdin read, so their records are one write, larger than the pipe buffer.  The reader
+    # goes away after one line: the write takes part of the text, and the rest must raise, not vanish.
+    (tmp_path / "stdin").write_text("1 0 0 0\n" * 1000)
+    with open(tmp_path / "stdin") as fin:
+        cmd = [sys.executable, "-c", ENTRY, "classify"]
+        proc = subprocess.Popen(cmd, env=_child_env(unbuffered), stdin=fin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@BUFFERING
+def test_each_record_arrives_before_the_next_line_is_sent(unbuffered, capsys):
+    # A co-process: the record of a line is on stdout while the program waits for the next line.
+    cmd = [sys.executable, "-c", ENTRY, "classify"]
+    pipes = {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(cmd, env=_child_env(unbuffered), **pipes) as proc:
+        for line in ("1 0 0 0", "0 1 0 0", "0.6 0 0 0.8"):
+            proc.stdin.write(f"{line}\n".encode())
+            proc.stdin.flush()
+            assert select.select([proc.stdout], [], [], 5)[0], f"no record for {line!r} within 5 s"
+            assert proc.stdout.readline().decode() == run_cli(capsys, "classify", *line.split())[1]
+        proc.stdin.close()
+        assert (proc.wait(timeout=60), proc.stdout.read(), proc.stderr.read()) == (0, b"", b"")
+
+
+CROSS = " ".join(["1", "0", "0", "0", *V3_ARGS])
+MISMATCH = "states lie on different orbits (d = 0.7853981633974483 vs 0.0); local gates preserve d"
+#: Per case: argv, the stdin bytes, and the exit code, the inputs whose records make stdout, and stderr.
+BYTE_CASES = {
+    "crlf": (["classify"], b"1 0 0 0\r\n\r\n0 1 0 0\r\n", 0, ["1 0 0 0", "0 1 0 0"], ""),
+    "lone-cr-inside-its-line": (
+        ["classify"], b"1 0 0 0\n1 0 0 0\r0 1 0 0\n", 2, ["1 0 0 0"], "error: line 2: expected 4 numbers, got 8\n"
+    ),
+    "blank-lines-counted": (["classify"], b"\n\n1 0 0 0\n\n1 0 0\n", 2, ["1 0 0 0"], "error: line 5: expected 4 numbers, got 3\n"),
+    "last-line-without-newline": (["classify"], b"1 0 0 0\n\n0 1 0 0", 0, ["1 0 0 0", "0 1 0 0"], ""),
+    "bad-last-line-without-newline": (["classify"], b"1 0 0 0\n1 0 0", 2, ["1 0 0 0"], "error: line 2: expected 4 numbers, got 3\n"),
+    # The 2 bytes of the e-acute straddle the end of the first 8 KiB read.
+    "utf8-split-across-reads": (
+        ["classify"], b"1 0 0 0\n" * 1023 + "1 0 0 x\u00e9\n".encode(), 2, ["1 0 0 0"] * 1023,
+        "error: line 1024: malformed input line '1 0 0 x\u00e9'\n",
+    ),
+    "invalid-utf8": (
+        ["classify"], b"1 0 0 0\n\xff 0 0 0\n", 2, [], "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+    ),
+    "bad-line-mid-read": (
+        ["classify"], b"1 0 0 0\n0 1 0 0\n1 0 zero 0\n0 0 1 0\n", 2, ["1 0 0 0", "0 1 0 0"],
+        "error: line 3: malformed input line '1 0 zero 0'\n",
+    ),
+    "orbit-mismatch-mid-read": (
+        ["connect", "--local-only"], f"{' '.join(PAIR)}\n{CROSS}\n{' '.join(PAIR)}\n".encode(), 3, [" ".join(PAIR)],
+        f"error: ORBIT_MISMATCH: line 2: {MISMATCH}\n",
+    ),
+}
+
+
+@BUFFERING
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_stdin_bytes_through_a_process(case, unbuffered, capsys, tmp_path):
+    # A file on stdin, so each read is a full 8 KiB: lines split on "\n" alone, as sys.stdin splits them.
+    argv, data, code, inputs, err = BYTE_CASES[case]
+    assert "utf8-split" not in case or data.index("\u00e9".encode()) == 8191
+    records = {line: run_cli(capsys, *argv, *line.split())[1] for line in set(inputs)}
+    (tmp_path / "stdin").write_bytes(data)
+    with open(tmp_path / "stdin") as fin:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_child_env(unbuffered), stdin=fin, capture_output=True)
+    assert (proc.returncode, proc.stderr.decode()) == (code, err)
+    assert proc.stdout.decode() == "".join(records[line] for line in inputs)
+
+
+def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
+    # As under python -u, each text reaches the bytes below stdout at once: a write per record would show here.
+    from realtwoqubit._state import _READ_SIZE
+
+    class CountingBytesIO(io.BytesIO):
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            return super().write(data)
+
+    text = "".join(f"{math.cos(i)!r} {math.sin(i)!r} 0 0\n" for i in range(10_000))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    expected = run_cli(capsys, "classify")[1].encode()
+    out = CountingBytesIO()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(out, encoding="utf-8", write_through=True))
+    assert main(["classify"]) == 0
+    assert out.getvalue() == expected
+    assert 1 < out.writes <= -(-len(text) // _READ_SIZE) + 1
 
 
 #: Per subcommand, the runs of the start-up test and the part modules of the core they may load.
