@@ -29,6 +29,7 @@ run compiles only what it executes and loads neither argparse nor dataclasses
 nor the object API; `sample` imports `geometry`.
 """
 
+import errno
 import importlib
 import sys
 
@@ -119,10 +120,15 @@ def _write_all(text: str) -> None:
     if out is None:  # an in-memory stream
         sys.stdout.write(text)
         return
-    # Under python -u, out is the raw file: a write into a pipe that its reader closed may take only part.
+    sys.stdout.flush()  # the bytes go below the text layer: what was written to it before goes first
+    # Under python -u, out is the raw file: a write into a pipe that its reader closed may take only part,
+    # and one into a full non-blocking stdout takes nothing and returns None.
     view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while view:
-        view = view[out.write(view):]
+        written = out.write(view)
+        if written is None:
+            raise BlockingIOError(errno.EAGAIN, "stdout is full")
+        view = view[written:]
     out.flush()
 
 

@@ -771,6 +771,37 @@ def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
     assert 1 < out.writes <= -(-len(text) // _READ_SIZE) + 1
 
 
+def test_text_written_to_stdout_before_stays_first(capsys, monkeypatch):
+    # The records go below a buffered text layer: what a caller wrote to it before main must come out before them.
+    record = run_cli(capsys, "classify", "1", "0", "0", "0")[1]
+    out = io.BytesIO()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 0 0 0\n"), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(io.BufferedWriter(out), encoding="utf-8"))
+    print("header")
+    assert main(["classify"]) == 0
+    assert out.getvalue().decode() == "header\n" + record
+
+
+def test_full_nonblocking_stdout_raises(monkeypatch):
+    # A raw non-blocking stdout that is full takes nothing and returns None; the write raises instead of spinning.
+    class FullOnce(io.RawIOBase):
+        full = True
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            if self.full:
+                self.full = False
+                return None
+            return len(data)
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 0 0 0\n"), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(FullOnce(), encoding="utf-8", write_through=True))
+    with pytest.raises(BlockingIOError):
+        main(["classify"])
+
+
 #: Per subcommand, the runs of the start-up test and the part modules of the core they may load.
 START_UP_RUNS = {
     "classify": ([["classify", "1", "0", "0", "0"]], "_classify _core _state"),
