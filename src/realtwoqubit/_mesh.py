@@ -2,7 +2,6 @@
 
 import math
 import operator
-import sys
 from itertools import chain
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance
@@ -106,15 +105,16 @@ def mesh_to_json(d: float, n_a: int, n_b: int):
     return chain([f'{{"d": {d!r}, "points": ['], text, ["]}\n"])
 
 
-def _cmd_mesh(args) -> None:
+def _cmd_mesh(args):
+    """The mesh text for main to write to stdout, or () once it is written to --out."""
     # The writers check the request when called, so a bad one opens no --out and writes nothing.
     chunks = (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)
     if not args.out:
-        sys.stdout.writelines(chunks)
-        return
+        return chunks
     try:
-        fh = open(args.out, "w")
+        fh = open(args.out, "w", newline="")  # no newline translation: the file holds stdout's bytes
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     with fh:
         fh.writelines(chunks)
+    return ()

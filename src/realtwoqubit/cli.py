@@ -12,8 +12,11 @@ loop, `_state._records`, does that per-line work: each input state is
 validated once, as it is read; the work then runs on plain 4-tuples, and
 each record is one f-string of reprs, byte for byte what json.dumps writes.
 Stdin is taken a read at a time, as much as it holds, and the records of
-each read go to stdout as one write, flushed at once: none is held while
-the program waits for input, and the records before a bad line stay.
+each read are one text; mesh returns its chunks and sample its JSON line.
+`main` alone writes stdout (help aside), each text in full and flushed at
+once by `_write_all`: no record is held while the program waits for input,
+the records before a bad line stay, and a reader that leaves early ends
+every subcommand with exit 1, under `python -u` too.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -35,8 +38,8 @@ import sys
 
 from ._core import DEFAULT_TOL, OrbitMismatchError, _checked_tol
 
-#: Per subcommand: help line, "part.handler" (a record writer if it reads states), numbers per input
-#: (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
+#: Per subcommand: help line, "part.handler" (a record writer if it reads states, else it returns its stdout texts),
+#: numbers per input (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
 _TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e-10)")}
 _D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
 _COMMANDS = {
@@ -141,14 +144,10 @@ def main(argv=None) -> int:
         # The subcommand's part is imported only now, so a run compiles none of the others.
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)
-        if args.per_line:  # classify, prepare and connect: one record per input, written once per stdin read
-            from ._state import _records
-
-            for text in _records(run, args):
-                _write_all(text)
-        else:
-            run(args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush
+        # classify, prepare and connect make one text per stdin read in _state's loop; mesh and sample return theirs.
+        texts = importlib.import_module("._state", __package__)._records(run, args) if args.per_line else run(args)
+        for text in texts:  # the one writer of stdout: each text in full and flushed, so a closed pipe shows here
+            _write_all(text)
         return 0
     except BrokenPipeError:
         # As the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent.

@@ -184,11 +184,12 @@ def sample_orbit_states(d: float, count: int, rng) -> list[RealState]:
     return out
 
 
-def _cmd_sample(args) -> None:
+def _cmd_sample(args) -> list[str]:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     import json
     import random
 
     states = sample_orbit_states(args.d, args.count, random.Random(args.seed))
-    print(json.dumps({"d": args.d, "states": [s.to_dict() for s in states]}))
+    # The header's d is the one the states are drawn at: the caller's, clamped into [0, pi/4].
+    return [json.dumps({"d": _checked_distance(args.d), "states": [s.to_dict() for s in states]}) + "\n"]

@@ -382,6 +382,13 @@ class TestSample:
             2, "", "error: seed must be non-negative, got -1\n"
         )
 
+    @pytest.mark.parametrize("d, header", [("-1e-13", "0.0"), ("0.7853981633974484", "0.7853981633974483")])
+    def test_header_d_is_the_clamped_d(self, d, header, capsys):
+        # The header writes the d the states are drawn at: the caller's, clamped into [0, pi/4], as mesh does.
+        code, out, _ = run_cli(capsys, "sample", "--d", d, "--seed", "1")
+        assert code == 0
+        assert out.startswith(f'{{"d": {header}, "states": [')
+
 
 class TestParser:
     def test_unknown_command(self):
@@ -641,25 +648,6 @@ def test_prepare_validates_each_input_once(capsys, monkeypatch):
     assert len(calls) == case["items"]
 
 
-@pytest.mark.parametrize(
-    "argv, stdin",
-    [(["mesh", "--d", "0.3", "--na", "256", "--nb", "256", "--format", "csv"], ""), (["classify"], "1 0 0 0\n" * 5000)],
-)
-def test_closed_stdout_ends_the_run_quietly(argv, stdin, tmp_path):
-    # The reader goes away after one line; the run stops with exit 1 and no traceback.
-    (tmp_path / "stdin").write_text(stdin)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with open(tmp_path / "stdin") as fin:
-        cmd = [sys.executable, "-c", "import sys; from realtwoqubit.cli import main; sys.exit(main())", *argv]
-        proc = subprocess.Popen(cmd, env=env, stdin=fin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
-
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENTRY = "import sys; from realtwoqubit.cli import main; sys.exit(main())"
 BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -673,6 +661,38 @@ def _child_env(unbuffered: bool) -> dict:
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+@BUFFERING
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(["mesh", "--d", "0.3", "--na", "256", "--nb", "256", "--format", "csv"], ""), (["classify"], "1 0 0 0\n" * 5000)],
+)
+def test_closed_stdout_ends_the_run_quietly(argv, stdin, unbuffered, tmp_path):
+    # The reader goes away after one line; the run stops with exit 1 and no traceback.
+    (tmp_path / "stdin").write_text(stdin)
+    with open(tmp_path / "stdin") as fin:
+        cmd = [sys.executable, "-c", ENTRY, *argv]
+        proc = subprocess.Popen(cmd, env=_child_env(unbuffered), stdin=fin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@BUFFERING
+def test_closed_stdout_during_the_last_mesh_write(unbuffered):
+    # Two rows of about 390 KB, each one write; the reader leaves during the second.  Under python -u a raw write
+    # into the pipe then takes only part of the row, and the rest must raise, not vanish with exit 0.
+    cmd = [sys.executable, "-c", ENTRY, "mesh", "--d", "0.3", "--na", "2", "--nb", "4000", "--format", "csv"]
+    pipes = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    proc = subprocess.Popen(cmd, env=_child_env(unbuffered), **pipes)
+    assert len(proc.stdout.read(400_000)) == 400_000
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 @BUFFERING

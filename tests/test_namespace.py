@@ -33,6 +33,9 @@ PART = {
 #: Every module of the package, by name.
 MODULES = sorted(path.stem for path in Path(realtwoqubit.__file__).parent.glob("*.py"))
 
+#: The modules that write stdout: cli's main, and _usage, which prints help and usage errors, then exits.
+STDOUT_WRITERS = {"cli", "_usage"}
+
 #: Core names a module imports without calling them: perfbench/spans.py traces them by these paths.
 TRACED_REEXPORTS = {"states": {"concurrence", "sign_residual"}, "geometry": {"mesh_to_csv"}}
 
@@ -95,6 +98,21 @@ def test_module_imports_only_the_stdlib(module):
 def test_module_parses_as_python_3_10(module):
     # pyproject.toml claims requires-python >= 3.10: no module may use a later grammar.
     ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text(), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_main_writes_stdout(module):
+    # Handlers return their text and cli.main writes it: no other module names sys.stdout or calls print.
+    tree = ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text())
+    names = {"stdout", "__stdout__"}
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys" and node.attr in names
+        or isinstance(node, ast.ImportFrom) and node.module == "sys" and names & {alias.name for alias in node.names}
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert bool(writes) == (module in STDOUT_WRITERS), writes
 
 
 def test_each_name_is_defined_once():
