@@ -1,7 +1,7 @@
 """The shared base of the plain-float core that the command line runs, split by subcommand.
 
 A run compiles only what it executes: `_state`, then `_classify` or `_synthesis`, or `_mesh` alone.
-The parts import only math, operator, sys, itertools and each other; the object API wraps them in its records,
+The parts import only codecs, math, operator, sys, itertools and each other; the object API wraps them in its records,
 so each formula has one implementation and each public name one import path.
 """
 
@@ -21,18 +21,27 @@ SHEET_BOTH = "BOTH"
 _DOMAIN_SLACK = 1e-12
 
 
+def _number(value) -> float | None:
+    """float(value) for a number; None for anything else, also for the text and bools float() reads."""
+    try:
+        return None if isinstance(value, (str, bytes, bytearray, bool)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _checked_distance(d: float) -> float:
-    d = float(d)
-    if not (-_DOMAIN_SLACK <= d <= QUARTER_PI + _DOMAIN_SLACK):
-        raise ValueError(f"distance {d!r} outside [0, pi/4]")
-    return min(max(d, 0.0), QUARTER_PI)
+    if (value := _number(d)) is None:
+        raise ValueError(f"distance must be a number, got {d!r}")
+    if not (-_DOMAIN_SLACK <= value <= QUARTER_PI + _DOMAIN_SLACK):
+        raise ValueError(f"distance {value!r} outside [0, pi/4]")
+    return min(max(value, 0.0), QUARTER_PI)
 
 
 def _checked_tol(tol: float) -> float:
-    # The one tolerance rule, for the command line and the library connects; nan fails the comparison too.
-    if not 0.0 < tol < math.inf:
+    # The one tolerance rule, for the command line and the library connects; a non-number reads as 0, and nan fails too.
+    if not 0.0 < (value := _number(tol) or 0.0) < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    return tol
+    return value
 
 
 class OrbitMismatchError(ValueError):

@@ -112,9 +112,8 @@ def _cmd_mesh(args):
     if not args.out:
         return chunks
     try:
-        fh = open(args.out, "w", newline="")  # no newline translation: the file holds stdout's bytes
-    except OSError as exc:
+        with open(args.out, "w", newline="") as fh:  # no newline translation: the file holds stdout's bytes
+            fh.writelines(chunks)
+    except OSError as exc:  # in opening or in writing: a missing directory and a full disk alike
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    with fh:
-        fh.writelines(chunks)
     return ()

@@ -13,23 +13,23 @@ validated once, as it is read; the work then runs on plain 4-tuples, and
 each record is one f-string of reprs, byte for byte what json.dumps writes.
 Stdin is taken a read at a time, as much as it holds, and the records of
 each read are one text; mesh returns its chunks and sample its JSON line.
-`main` alone writes stdout (help aside), each text in full and flushed at
-once by `_write_all`: no record is held while the program waits for input,
-the records before a bad line stay, and a reader that leaves early ends
-every subcommand with exit 1, under `python -u` too.
+This module alone writes stdout and stderr: `main` writes each text in full
+and flushed at once by `_write_all`, help too, so no record is held while the
+program waits for input, the records before a bad line stay, and a reader
+that leaves early ends every run with exit 1, under `python -u` too.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
 starts with `--` (or is `-h`) is a flag, given as `--flag value`,
 `--flag=value` or a unique abbreviation, and the last of a repeated flag
 wins; every other token, and every token after `--`, is a number, wherever
-it stands.  Help and usage errors are printed from the same table.
+it stands.  Help and usage errors are formatted from the same table.
 
-Only `sys` and the core's shared base `_core` are imported at start-up.  A
-subcommand imports its part of the core as it runs: `_state` with `_classify`
-or `_synthesis`, or `_mesh` alone, and help and usage errors `_usage`.  So a
-run compiles only what it executes and loads neither argparse nor dataclasses
-nor the object API; `sample` imports `geometry`.
+At start-up only `errno`, `importlib`, `sys` and the core's base `_core` are
+imported.  A subcommand imports its part of the core as it runs: `_state`
+with `_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
+`_usage`.  So a run compiles only what it executes and loads neither argparse
+nor dataclasses nor the object API; `sample` imports `geometry`.
 """
 
 import errno
@@ -63,10 +63,11 @@ class _Args:
 
 
 def _stop(command: str, error: str = ""):
-    """Print help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
+    """Write help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
     from ._usage import _help_or_error
 
-    _help_or_error(_COMMANDS, command, error)
+    (sys.stderr.write if error else _write_all)(_help_or_error(_COMMANDS, command, error))
+    raise SystemExit(2 if error else 0)
 
 
 def _flag(command: str, token: str, names) -> str:
@@ -136,8 +137,8 @@ def _write_all(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)  # help, too, is written inside the try
         # --tol is checked once, here, for every subcommand that takes it.
         if "tol" in vars(args):
             _checked_tol(args.tol)

@@ -22,6 +22,7 @@ and the functions that return one wrap the tuple without checking it again.
 
 from collections import namedtuple
 
+from ._core import _number
 from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
 # Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
 from ._state import concurrence, sign_residual  # noqa: F401
@@ -36,14 +37,6 @@ def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
     if wrong:
         raise ValueError(f"{name} dict: {', '.join(wrong)}; got {data!r}")
     return data
-
-
-def _number(value) -> float | None:
-    """float(value) for a number; None for anything else, also for the text and bools float() reads."""
-    try:
-        return None if isinstance(value, (str, bytes, bytearray, bool)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
 
 
 class _UnitVector:

@@ -39,9 +39,9 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from ._core import DEFAULT_TOL, _checked_tol
+from ._core import DEFAULT_TOL, _checked_tol, _number
 from ._synthesis import _apply, _connect, _intersection, _inverse, _prepare
-from .states import RealState, _checked_dict, _number
+from .states import RealState, _checked_dict
 
 
 class Gate(namedtuple("Gate", "kind qubit angle", defaults=(None, None))):

@@ -1,5 +1,6 @@
 """CLI behavior: golden equivalence with the library, exit codes, batch stdin."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -325,6 +326,12 @@ class TestMesh:
         path = tmp_path / "missing" / "mesh.csv"
         code, out, err = run_cli(capsys, "mesh", "--d", "0.3", "--na", "2", "--nb", "2", "--out", str(path))
         assert (code, out, err) == (2, "", f"error: cannot write {path}: No such file or directory\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_unwritable_out_device_is_a_usage_error(self, capsys):
+        # The write is checked as the open is: a full device is the same usage error, not a traceback.
+        argv = ["mesh", "--d", "0.3", "--na", "2", "--nb", "2", "--out", "/dev/full"]
+        assert run_cli(capsys, *argv) == (2, "", "error: cannot write /dev/full: No space left on device\n")
 
     def test_out_file_equals_stdout(self, capsys, tmp_path):
         argv = ["mesh", "--d", "0.3", "--na", "7", "--nb", "9", "--format", "json"]
@@ -711,6 +718,20 @@ def test_closed_stdout_after_one_large_read(unbuffered, tmp_path):
 
 
 @BUFFERING
+@pytest.mark.parametrize("argv", [["--help"], ["mesh", "-h"]], ids=["help", "mesh-h"])
+def test_help_into_a_closed_pipe_ends_quietly(argv, unbuffered):
+    # Help is one small write, so a reader that first reads a line would race: the read end is closed before the run.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        pipes = {"stdin": subprocess.DEVNULL, "stdout": write_end, "stderr": subprocess.PIPE}
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_child_env(unbuffered), timeout=60, **pipes)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@BUFFERING
 def test_each_record_arrives_before_the_next_line_is_sent(unbuffered, capsys):
     # A co-process: the record of a line is on stdout while the program waits for the next line.
     cmd = [sys.executable, "-c", ENTRY, "classify"]
@@ -767,6 +788,31 @@ def test_stdin_bytes_through_a_process(case, unbuffered, capsys, tmp_path):
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_child_env(unbuffered), stdin=fin, capture_output=True)
     assert (proc.returncode, proc.stderr.decode()) == (code, err)
     assert proc.stdout.decode() == "".join(records[line] for line in inputs)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, lines",
+    [
+        (["classify"], "1 0 0 0\n0 1 0 0\n1 0 zero 0\n0 0 1 0\n", 2, 2),
+        (["mesh", "--d", "0.3", "--na", "3", "--nb", "4", "--format", "csv"], "", 0, 18),
+        (["sample", "--d", "0.3", "--seed", "7"], "", 0, 1),
+        (["--help"], "", 0, 9),
+    ],
+    ids=["classify-bad-third-line", "mesh-csv", "sample", "help"],
+)
+def test_in_memory_stdout_gets_the_same_text(argv, stdin, code, lines, capsys, monkeypatch):
+    # An in-memory stdout, as perfbench's traced rounds set, has no bytes below it: _write_all writes the text to it.
+    def run():
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    expected = (run(), *capsys.readouterr())
+    assert expected[0] == code and expected[1].count("\n") == lines
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert (run(), out.getvalue(), capsys.readouterr().err) == expected
 
 
 def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):

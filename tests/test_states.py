@@ -14,12 +14,15 @@ from realtwoqubit import (
     Circuit,
     Gate,
     RealState,
+    TorusPoint,
     bell_basis_state,
     classify,
     concurrence,
     cz_connect,
+    entropy_from_distance,
     from_bell,
     orbit_mesh,
+    parametrize,
     prepare,
     sign_residual,
     states_equal_up_to_sign,
@@ -93,6 +96,23 @@ class TestConstruction:
         for _ in range(200):
             s = _random_state(rng)
             assert abs(float(np.linalg.norm(np.array(s))) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: entropy_from_distance("0.3"), id="entropy-d-text"),
+        pytest.param(lambda: orbit_mesh("0.3", 2, 2), id="mesh-d-text"),
+        pytest.param(lambda: parametrize(TorusPoint("0.3", 0.0, 0.0, "V34")), id="parametrize-d-text"),
+        pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol="1e-3"), id="tol-text"),
+        pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol=None), id="tol-None"),
+        pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol=True), id="tol-True"),
+    ],
+)
+def test_d_and_tol_take_only_numbers(call):
+    # One number rule for states, d and tol: float() would read the text, and True as 1; None would be a TypeError.
+    with pytest.raises(ValueError, match="^(distance must be a number|tolerance must be positive and finite), got "):
+        call()
 
 
 class TestBellBasis:
