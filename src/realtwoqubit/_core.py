@@ -1,11 +1,12 @@
 """The shared base of the plain-float core that the command line runs, split by subcommand.
 
 A run compiles only what it executes: `_state`, then `_classify` or `_synthesis`, or `_mesh` alone.
-The parts import only codecs, math, operator, sys, itertools and each other; the object API wraps them in its records,
+The parts import only math, operator, itertools and each other, and do no I/O; the object API wraps them in its records,
 so each formula has one implementation and each public name one import path.
 """
 
 import math
+import operator
 
 #: Default verification tolerance for equality predicates.
 DEFAULT_TOL = 1e-10
@@ -26,6 +27,14 @@ def _number(value) -> float | None:
     try:
         return None if isinstance(value, (str, bytes, bytearray, bool)) else float(value)
     except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _integer(value) -> int | None:
+    """operator.index(value) for an integer; None for anything else, also for a bool, which int() and index() read."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
         return None
 
 

@@ -1,10 +1,9 @@
-"""The orbit mesh walk, its CSV and JSON writers, and the mesh subcommand: no state code."""
+"""The orbit mesh walk, its CSV and JSON text writers, and the mesh subcommand's choice of one: no state code."""
 
 import math
-import operator
 from itertools import chain
 
-from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance
+from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 
 #: The d = 0 circles are walked this many angles at a time, so a long circle never makes a long row.
 _CIRCLE_CHUNK = 512
@@ -18,14 +17,12 @@ def _angle_grid(n: int, indices: range) -> tuple[list[float], list[float]]:
 
 def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
     d = _checked_distance(d)
-    try:
-        # An integer only: int() would truncate 2.9 to 2 and read the string "3".
-        n_a, n_b = operator.index(n_a), operator.index(n_b)
-    except TypeError:
-        raise ValueError(f"grid sizes must be integers, got ({n_a!r}, {n_b!r})") from None
-    if n_a < 2 or n_b < 2:
-        raise ValueError(f"grid sizes must be at least 2, got ({n_a}, {n_b})")
-    return d, n_a, n_b
+    # An integer only: int() would truncate 2.9 to 2 and read the string "3".
+    if None in (sizes := (_integer(n_a), _integer(n_b))):
+        raise ValueError(f"grid sizes must be integers, got ({n_a!r}, {n_b!r})")
+    if min(sizes) < 2:
+        raise ValueError(f"grid sizes must be at least 2, got {sizes}")
+    return (d, *sizes)
 
 
 def _mesh_rows(d: float, n_a: int, n_b: int, conv):
@@ -106,14 +103,5 @@ def mesh_to_json(d: float, n_a: int, n_b: int):
 
 
 def _cmd_mesh(args):
-    """The mesh text for main to write to stdout, or () once it is written to --out."""
-    # The writers check the request when called, so a bad one opens no --out and writes nothing.
-    chunks = (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)
-    if not args.out:
-        return chunks
-    try:
-        with open(args.out, "w", newline="") as fh:  # no newline translation: the file holds stdout's bytes
-            fh.writelines(chunks)
-    except OSError as exc:  # in opening or in writing: a missing directory and a full disk alike
-        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    return ()
+    """The mesh text for main to write to stdout or --out; the writer checks the request now, before --out is opened."""
+    return (mesh_to_csv if args.format == "csv" else mesh_to_json)(args.d, args.na, args.nb)

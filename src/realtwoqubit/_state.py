@@ -1,8 +1,6 @@
-"""The state primitives on 4-tuples that classify, prepare and connect share, and their per-line loop."""
+"""The state primitives on 4-tuples that classify, prepare and connect share, and the split of input numbers into states."""
 
-import codecs
 import math
-import sys
 
 from ._core import DEFAULT_TOL
 
@@ -13,10 +11,6 @@ NORM_SLACK = 1e-6
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _BELL_NOUN = "Bell coordinate"
-
-#: Bytes per stdin read: the chunk size of sys.stdin itself, so a decoding error names the same position.
-_READ_SIZE = 8192
-
 
 def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tuple[float, float, float, float]:
     """The one validation of a 4-vector: finite, norm within NORM_SLACK of 1, divided by its norm."""
@@ -90,48 +84,3 @@ def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
     if len(values) != per_line:
         raise ValueError(f"expected {per_line} numbers, got {len(values)}")
     return [*map(_unit, *[iter(values)] * 4)]  # one iterator four times: each _unit takes the next four values
-
-
-def _reads():
-    """The stdin text, one string per read, ended by a newline so that a last line without one is complete.
-
-    A read takes what stdin holds, waiting only when it holds nothing; its
-    bytes are decoded as sys.stdin would, without newline translation.  An
-    in-memory stream never waits, so its whole text is one read.
-    """
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:
-        yield sys.stdin.read() + "\n"
-        return
-    decode = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors).decode
-    while chunk := buffer.read1(_READ_SIZE):
-        yield decode(chunk)
-    yield decode(b"", True) + "\n"
-
-
-def _records(run, args):
-    """Yield the records of the inputs, one text per stdin read: the argv numbers, else each non-blank stdin line.
-
-    A stdin line's errors are led by `line N: `; the records of the lines before it in its read are yielded first.
-    """
-    if args.values:
-        yield run(args, *_states_from_values(args.values, args.per_line))
-        return
-    number, tail = 0, ""
-    for text in _reads():
-        *lines, tail = (tail + text).split("\n")  # "\n" only, as sys.stdin splits lines
-        records = []
-        try:
-            for number, line in enumerate(lines, number + 1):
-                tokens = line.split()
-                if not tokens:
-                    continue
-                try:
-                    values = [*map(float, tokens)]
-                except ValueError:
-                    raise ValueError(f"malformed input line {line.strip()!r}") from None
-                records.append(run(args, *_states_from_values(values, args.per_line)))
-        except ValueError as exc:  # parsing, checking or writing; the class is kept, so ORBIT_MISMATCH still exits 3
-            yield "".join(records)
-            raise type(exc)(f"line {number}: {exc}") from None
-        yield "".join(records)

@@ -3,20 +3,22 @@
 Subcommands: classify, prepare, connect, mesh, sample.  All numeric work
 happens in the library; this layer only parses arguments, shuttles JSON/CSV,
 and maps errors to exit codes (0 ok, 1 stdout closed early, 2 malformed
-input or usage, 3 orbit mismatch under --local-only).  States can also be
+input, usage or no stdin, 3 orbit mismatch under --local-only); with no
+stderr, error text is dropped, never sent to stdout.  States can also be
 piped on stdin, one whitespace-separated state per line, for batch runs.
 Any error on a stdin line, in reading, checking or making its record, names
 the line and keeps its exit code, as in `error: ORBIT_MISMATCH: line 2:
 states lie on different orbits (...)`; errors in argv name no line.  One
-loop, `_state._records`, does that per-line work: each input state is
-validated once, as it is read; the work then runs on plain 4-tuples, and
-each record is one f-string of reprs, byte for byte what json.dumps writes.
-Stdin is taken a read at a time, as much as it holds, and the records of
-each read are one text; mesh returns its chunks and sample its JSON line.
-This module alone writes stdout and stderr: `main` writes each text in full
-and flushed at once by `_write_all`, help too, so no record is held while the
-program waits for input, the records before a bad line stay, and a reader
-that leaves early ends every run with exit 1, under `python -u` too.
+loop, `_records`, does that per-line work: each input state is validated
+once, as it is read; the work then runs on plain 4-tuples, and each record
+is one f-string of reprs, byte for byte what json.dumps writes.  Stdin is
+taken a read at a time, as much as it holds, and the records of each read
+are one text; mesh returns its chunks and sample its JSON line.  This module
+alone reads stdin and writes stdout, stderr and --out, so the core does no
+I/O: `main` writes each text in full and flushed at once by `_write_all`,
+help too, so no record is held while the program waits for input, the
+records before a bad line stay, and a reader that leaves early ends every
+run with exit 1, under `python -u` too.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -25,20 +27,23 @@ starts with `--` (or is `-h`) is a flag, given as `--flag value`,
 wins; every other token, and every token after `--`, is a number, wherever
 it stands.  Help and usage errors are formatted from the same table.
 
-At start-up only `errno`, `importlib`, `sys` and the core's base `_core` are
-imported.  A subcommand imports its part of the core as it runs: `_state`
-with `_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
+At start-up only `codecs`, `errno`, `importlib`, `os`, `sys` (all loaded by
+the interpreter already) and the core's base `_core` are imported.  A
+subcommand imports its part of the core as it runs: `_state` with
+`_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
 `_usage`.  So a run compiles only what it executes and loads neither argparse
 nor dataclasses nor the object API; `sample` imports `geometry`.
 """
 
+import codecs
 import errno
 import importlib
+import os
 import sys
 
 from ._core import DEFAULT_TOL, OrbitMismatchError, _checked_tol
 
-#: Per subcommand: help line, "part.handler" (a record writer if it reads states, else it returns its stdout texts),
+#: Per subcommand: help line, "part.handler" (a record maker if it reads states, else it returns its output texts),
 #: numbers per input (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
 _TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e-10)")}
 _D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
@@ -57,6 +62,9 @@ _COMMANDS = {
 }
 _HELP = ("-h", "--help")
 
+#: Bytes per stdin read: the chunk size of sys.stdin itself, so a decoding error names the same position.
+_READ_SIZE = 8192
+
 
 class _Args:
     """The parsed command line: one attribute per field that main and the handlers read."""
@@ -66,8 +74,14 @@ def _stop(command: str, error: str = ""):
     """Write help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
     from ._usage import _help_or_error
 
-    (sys.stderr.write if error else _write_all)(_help_or_error(_COMMANDS, command, error))
+    (_error if error else _write_all)(_help_or_error(_COMMANDS, command, error))
     raise SystemExit(2 if error else 0)
+
+
+def _error(text: str) -> None:
+    """Write text to stderr; with no stderr (fd 2 closed at start-up) it is dropped, never sent to stdout."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
 
 
 def _flag(command: str, token: str, names) -> str:
@@ -136,6 +150,55 @@ def _write_all(text: str) -> None:
     out.flush()
 
 
+def _reads():
+    """The stdin text, one string per read, ended by a newline so that a last line without one is complete.
+
+    A read takes what stdin holds, waiting only when it holds nothing; its
+    bytes are decoded as sys.stdin would, without newline translation.  An
+    in-memory stream never waits, so its whole text is one read.
+    """
+    if sys.stdin is None:  # fd 0 closed at start-up
+        raise ValueError("no stdin")
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin.read() + "\n"
+        return
+    decode = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors).decode
+    while chunk := buffer.read1(_READ_SIZE):
+        yield decode(chunk)
+    yield decode(b"", True) + "\n"
+
+
+def _records(run, args):
+    """Yield the records of the inputs, one text per stdin read: the argv numbers, else each non-blank stdin line.
+
+    A stdin line's errors are led by `line N: `; the records of the lines before it in its read are yielded first.
+    """
+    from ._state import _states_from_values
+
+    if args.values:
+        yield run(args, *_states_from_values(args.values, args.per_line))
+        return
+    number, tail = 0, ""
+    for text in _reads():
+        *lines, tail = (tail + text).split("\n")  # "\n" only, as sys.stdin splits lines
+        records = []
+        try:
+            for number, line in enumerate(lines, number + 1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                try:
+                    values = [*map(float, tokens)]
+                except ValueError:
+                    raise ValueError(f"malformed input line {line.strip()!r}") from None
+                records.append(run(args, *_states_from_values(values, args.per_line)))
+        except ValueError as exc:  # parsing, checking or writing; the class is kept, so ORBIT_MISMATCH still exits 3
+            yield "".join(records)
+            raise type(exc)(f"line {number}: {exc}") from None
+        yield "".join(records)
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)  # help, too, is written inside the try
@@ -145,22 +208,27 @@ def main(argv=None) -> int:
         # The subcommand's part is imported only now, so a run compiles none of the others.
         part, _, name = args.handler.partition(".")
         run = getattr(importlib.import_module(f".{part}", __package__), name)
-        # classify, prepare and connect make one text per stdin read in _state's loop; mesh and sample return theirs.
-        texts = importlib.import_module("._state", __package__)._records(run, args) if args.per_line else run(args)
+        # classify, prepare and connect make one text per stdin read in _records; mesh and sample return theirs.
+        texts = _records(run, args) if args.per_line else run(args)
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w", newline="") as fh:  # no newline translation: the file holds stdout's bytes
+                    fh.writelines(texts)
+            except OSError as exc:  # in opening or in writing: a missing directory and a full disk alike
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+            return 0
         for text in texts:  # the one writer of stdout: each text in full and flushed, so a closed pipe shows here
             _write_all(text)
         return 0
     except BrokenPipeError:
         # As the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OrbitMismatchError as exc:
-        print(f"error: ORBIT_MISMATCH: {exc}", file=sys.stderr)
+        _error(f"error: ORBIT_MISMATCH: {exc}\n")
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}\n")
         return 2
 
 

@@ -26,11 +26,10 @@ the sampling of an orbit, with the `sample` subcommand.
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
-from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance
+from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 from ._mesh import _checked_grid, _mesh_rows
 # Kept because perfbench/spans.py traces the mesh writer as geometry.mesh_to_csv.
 from ._mesh import mesh_to_csv  # noqa: F401
@@ -171,14 +170,12 @@ def sample_orbit_states(d: float, count: int, rng) -> list[RealState]:
     is not a non-negative integer.
     """
     d = _checked_distance(d)
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ValueError(f"count must be an integer, got {count!r}") from None
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    if (n := _integer(count)) is None:
+        raise ValueError(f"count must be an integer, got {count!r}")
+    if n < 0:
+        raise ValueError(f"count must be non-negative, got {n}")
     out = []
-    for _ in range(count):
+    for _ in range(n):
         sheet = SHEET_V34 if rng.random() < 0.5 else SHEET_V12
         out.append(parametrize(TorusPoint(d, rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI), sheet)))
     return out

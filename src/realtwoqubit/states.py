@@ -22,7 +22,7 @@ and the functions that return one wrap the tuple without checking it again.
 
 from collections import namedtuple
 
-from ._core import _number
+from ._core import _integer, _number
 from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
 # Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
 from ._state import concurrence, sign_residual  # noqa: F401
@@ -124,6 +124,6 @@ def from_bell(coords: BellCoords) -> RealState:
 
 def bell_basis_state(index: int) -> RealState:
     """The index-th Bell basis vector, index in 1..4 matching v1..v4."""
-    if index not in (1, 2, 3, 4):
+    if (k := _integer(index)) not in (1, 2, 3, 4):
         raise ValueError(f"Bell basis index must be 1..4, got {index}")
-    return from_bell(BellCoords(*(float(i == index) for i in (1, 2, 3, 4))))
+    return from_bell(BellCoords(*(float(i == k) for i in (1, 2, 3, 4))))

@@ -39,7 +39,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from ._core import DEFAULT_TOL, _checked_tol, _number
+from ._core import DEFAULT_TOL, _checked_tol, _integer, _number
 from ._synthesis import _apply, _connect, _intersection, _inverse, _prepare
 from .states import RealState, _checked_dict
 
@@ -55,8 +55,8 @@ class Gate(namedtuple("Gate", "kind qubit angle", defaults=(None, None))):
         if kind == "cz":
             if qubit is not None or angle is not None:
                 raise ValueError("cz takes neither qubit nor angle")
-        # A qubit is the int 0 or 1: 0.0 and True compare equal to one but would be written back as given.
-        elif type(qubit) is not int or qubit not in (0, 1):
+        # A qubit is an integer 0 or 1, kept as the int: 0.0 and True compare equal to one but are no integer.
+        elif _integer(qubit) not in (0, 1):
             raise ValueError(f"{kind} gate needs qubit 0 or 1, got {qubit!r}")
         elif kind == "x":
             if angle is not None:
@@ -66,7 +66,7 @@ class Gate(namedtuple("Gate", "kind qubit angle", defaults=(None, None))):
             if value is None or not math.isfinite(value):
                 raise ValueError(f"ry gate needs a finite angle, got {angle!r}")
             angle = value
-        return tuple.__new__(cls, (kind, qubit, angle))
+        return tuple.__new__(cls, (kind, _integer(qubit), angle))  # cz's None stays None
 
     @classmethod
     def ry(cls, qubit: int, angle: float) -> "Gate":

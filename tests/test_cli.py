@@ -731,6 +731,35 @@ def test_help_into_a_closed_pipe_ends_quietly(argv, unbuffered):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "1", "0", "0"], 2),
+        (["connect", "--local-only", "1", "0", "0", "0", "0.6", "0", "0", "0.8"], 3),
+        (["classify", "--bogus"], 2),
+    ],
+    ids=["bad-input", "orbit-mismatch", "usage"],
+)
+def test_closed_stderr_drops_the_error_text(argv, code):
+    # With fd 2 closed at start-up sys.stderr is None: the error text is dropped, never sent to stdout, and the code stays.
+    cmd = [sys.executable, "-c", ENTRY, *argv]
+    pipes = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE}
+    proc = subprocess.run(cmd, env=_child_env(False), preexec_fn=lambda: os.close(2), timeout=60, **pipes)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+def test_closed_stdin_is_a_usage_error(capsys):
+    # With fd 0 closed at start-up sys.stdin is None: a run that must read stdin exits 2, and states on argv need none.
+    def child(*argv):
+        cmd = [sys.executable, "-c", ENTRY, *argv]
+        closed = {"preexec_fn": lambda: os.close(0), "capture_output": True, "text": True, "timeout": 60}
+        proc = subprocess.run(cmd, env=_child_env(False), **closed)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert child("classify") == (2, "", "error: no stdin\n")
+    assert child("classify", "1", "0", "0", "0") == run_cli(capsys, "classify", "1", "0", "0", "0")
+
+
 @BUFFERING
 def test_each_record_arrives_before_the_next_line_is_sent(unbuffered, capsys):
     # A co-process: the record of a line is on stdout while the program waits for the next line.
@@ -817,7 +846,7 @@ def test_in_memory_stdout_gets_the_same_text(argv, stdin, code, lines, capsys, m
 
 def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
     # As under python -u, each text reaches the bytes below stdout at once: a write per record would show here.
-    from realtwoqubit._state import _READ_SIZE
+    from realtwoqubit.cli import _READ_SIZE
 
     class CountingBytesIO(io.BytesIO):
         writes = 0

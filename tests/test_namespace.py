@@ -33,7 +33,7 @@ PART = {
 #: Every module of the package, by name.
 MODULES = sorted(path.stem for path in Path(realtwoqubit.__file__).parent.glob("*.py"))
 
-#: The modules that write stdout or stderr or exit: cli alone, which writes help and usage errors too.
+#: The modules that read stdin, write stdout, stderr or a file, or exit: cli alone, which writes help and usage errors too.
 STDOUT_WRITERS = {"cli"}
 
 #: Core names a module imports without calling them: perfbench/spans.py traces them by these paths.
@@ -102,16 +102,16 @@ def test_module_parses_as_python_3_10(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_main_writes_stdout(module):
-    # Handlers return their text, and _usage its help, and cli writes it: no other module names sys.stdout,
-    # sys.stderr or sys.exit, calls print or raises SystemExit.
+    # Handlers return their text, and _usage its help, and cli reads their input and writes it: no other module names
+    # sys.stdin, sys.stdout, sys.stderr or sys.exit, calls print or open or raises SystemExit.
     tree = ast.parse(Path(realtwoqubit.__file__).with_name(f"{module}.py").read_text())
-    names = {"stdout", "__stdout__", "stderr", "__stderr__", "exit"}
+    names = {"stdin", "__stdin__", "stdout", "__stdout__", "stderr", "__stderr__", "exit"}
     writes = [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys" and node.attr in names
         or isinstance(node, ast.ImportFrom) and node.module == "sys" and names & {alias.name for alias in node.names}
-        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("print", "open")
         or isinstance(node, ast.Name) and node.id == "SystemExit"
     ]
     assert bool(writes) == (module in STDOUT_WRITERS), writes

@@ -1,8 +1,10 @@
 """State construction, Bell coordinates, concurrence and sign-blind equality."""
 
+import contextlib
 import copy
 import math
 import pickle
+import random
 import re
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from realtwoqubit import (
     orbit_mesh,
     parametrize,
     prepare,
+    sample_orbit_states,
     sign_residual,
     states_equal_up_to_sign,
     to_bell,
@@ -113,6 +116,27 @@ def test_d_and_tol_take_only_numbers(call):
     # One number rule for states, d and tol: float() would read the text, and True as 1; None would be a TypeError.
     with pytest.raises(ValueError, match="^(distance must be a number|tolerance must be positive and finite), got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: sample_orbit_states(0.3, True, random.Random(1)), "count must be an integer, got True", id="count"),
+        pytest.param(lambda: orbit_mesh(0.3, True, 2), "grid sizes must be integers, got (True, 2)", id="grid-True"),
+        pytest.param(lambda: bell_basis_state(True), "Bell basis index must be 1..4, got True", id="bell-True"),
+        pytest.param(lambda: bell_basis_state(2.0), "Bell basis index must be 1..4, got 2.0", id="bell-float"),
+        pytest.param(lambda: Gate("x", np.int64(0)), None, id="qubit-int64"),
+    ],
+)
+def test_one_integer_rule(call, error):
+    # Counts, grid sizes, Bell indices and qubits take an integer, np.int64 too, and neither a bool nor a float.
+    with pytest.raises(ValueError, match=re.escape(error)) if error else contextlib.nullcontext():
+        call()
+
+
+def test_a_gate_keeps_its_qubit_as_an_int():
+    gate = Gate("x", np.int64(1))
+    assert type(gate.qubit) is int and gate == Gate.x(1)
 
 
 class TestBellBasis:
