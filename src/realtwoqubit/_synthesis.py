@@ -18,19 +18,17 @@ def _inverse(gate: tuple) -> tuple:
 def _apply(gates, state) -> tuple:
     w1, w2, w3, w4 = state
     for kind, qubit, angle in gates:
+        if qubit == 1:  # a qubit-1 gate is its qubit-0 form between two w2 <-> w3 swaps (SWAP conjugation)
+            w2, w3 = w3, w2
         if kind == "cz":
             w4 = -w4
         elif kind == "x":
-            if qubit == 0:
-                w1, w2, w3, w4 = w3, w4, w1, w2
-            else:
-                w1, w2, w3, w4 = w2, w1, w4, w3
+            w1, w2, w3, w4 = w3, w4, w1, w2
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-            if qubit == 0:
-                w1, w2, w3, w4 = c * w1 - s * w3, c * w2 - s * w4, s * w1 + c * w3, s * w2 + c * w4
-            else:
-                w1, w2, w3, w4 = c * w1 - s * w2, s * w1 + c * w2, c * w3 - s * w4, s * w3 + c * w4
+            w1, w2, w3, w4 = c * w1 - s * w3, c * w2 - s * w4, s * w1 + c * w3, s * w2 + c * w4
+        if qubit == 1:
+            w2, w3 = w3, w2
     return _unit(w1, w2, w3, w4)
 
 
@@ -87,19 +85,19 @@ def _connect(source, target, tol: float, local_only: bool = False) -> tuple:
     chart_s, chart_t = _chart(source), _chart(target)
     d_s, d_t = chart_s[0], chart_t[0]
     if local_only or abs(d_s - d_t) <= tol:
-        gates = _leg(source, target, tol, chart_s, chart_t)
+        gates, mid = _leg(source, target, tol, chart_s, chart_t), None
         # An empty leg means the states are equal within tol, whatever their computed d.
         if gates and abs(d_s - d_t) > tol:
             raise OrbitMismatchError(f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d")
-        return gates, None, residual(gates, source, target)
-    swapped = d_s < d_t
-    hi, lo = (target, source) if swapped else (source, target)
-    chart_hi, chart_lo = (chart_t, chart_s) if swapped else (chart_s, chart_t)
-    mid = _intersection(max(d_s, d_t), min(d_s, d_t))
-    mid_cz = _apply((_CZ,), mid)
-    gates = _leg(hi, mid_cz, tol, chart_hi, _chart(mid_cz)) + (_CZ,) + _leg(mid, lo, tol, _chart(mid), chart_lo)
-    if swapped:
-        gates = tuple(map(_inverse, reversed(gates)))
+    else:
+        swapped = d_s < d_t
+        hi, lo = (target, source) if swapped else (source, target)
+        chart_hi, chart_lo = (chart_t, chart_s) if swapped else (chart_s, chart_t)
+        mid = _intersection(max(d_s, d_t), min(d_s, d_t))
+        mid_cz = _apply((_CZ,), mid)
+        gates = _leg(hi, mid_cz, tol, chart_hi, _chart(mid_cz)) + (_CZ,) + _leg(mid, lo, tol, _chart(mid), chart_lo)
+        if swapped:
+            gates = tuple(map(_inverse, reversed(gates)))
     return gates, mid, residual(gates, source, target)
 
 

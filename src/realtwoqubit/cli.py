@@ -40,6 +40,7 @@ import errno
 import importlib
 import os
 import sys
+import types
 
 from ._core import DEFAULT_TOL, OrbitMismatchError, _checked_tol
 
@@ -66,10 +67,6 @@ _HELP = ("-h", "--help")
 _READ_SIZE = 8192
 
 
-class _Args:
-    """The parsed command line: one attribute per field that main and the handlers read."""
-
-
 def _stop(command: str, error: str = ""):
     """Write help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
     from ._usage import _help_or_error
@@ -92,7 +89,7 @@ def _flag(command: str, token: str, names) -> str:
     return found[0]
 
 
-def parse_args(argv: list[str]) -> _Args:
+def parse_args(argv: list[str]) -> types.SimpleNamespace:
     """Walk argv once against _COMMANDS: flags and numbers in any order, and only numbers after `--`."""
     command = argv[0] if argv else ""
     if command[:1] == "-" and _flag("", command, _HELP):
@@ -100,8 +97,9 @@ def parse_args(argv: list[str]) -> _Args:
     if command not in _COMMANDS:
         _stop("", f"unknown subcommand {command!r}" if command else "missing subcommand")
     _, handler, per_line, flags = _COMMANDS[command]
-    args, tokens, options = _Args(), iter(argv[1:]), True
-    vars(args).update({dest: default for dest, _, default, _ in flags.values()}, handler=handler, per_line=per_line, values=[])
+    defaults = {dest: default for dest, _, default, _ in flags.values()}
+    args = types.SimpleNamespace(**defaults, handler=handler, per_line=per_line, values=[])
+    tokens, options = iter(argv[1:]), True
     for token in tokens:
         if options and token == "--":
             options = False

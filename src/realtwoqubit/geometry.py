@@ -33,11 +33,8 @@ from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, 
 from ._mesh import _checked_grid, _mesh_rows
 # Kept because perfbench/spans.py traces the mesh writer as geometry.mesh_to_csv.
 from ._mesh import mesh_to_csv  # noqa: F401
-from ._state import _chart, _to_bell, on_v34_side
+from ._state import _chart, _distance, _to_bell, on_v34_side
 from .states import BellCoords, RealState, from_bell
-
-#: Below this sin(d) the torus angle `a` is undefined (states on a circle).
-_DEGENERATE_SIN_D = 1e-9
 
 
 class DegenerateAngleError(ValueError):
@@ -84,7 +81,7 @@ def entanglement_distance(state: RealState) -> float:
     same fold computed stably at both circles, where the arcsin form loses
     half its digits.
     """
-    return _chart(state)[0]
+    return _distance(_to_bell(state))
 
 
 def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitClass:
@@ -119,14 +116,12 @@ def entropy_from_distance(d: float) -> float:
 def torus_angles(state: RealState) -> TorusPoint:
     """Angles of a state on its orbit sheet.
 
-    Raises DegenerateAngleError when sin(d) < 1e-9: on the circles the
-    small-radius plane carries no direction, so `a` is undefined.
+    Raises DegenerateAngleError where classify says max_entangled (d <=
+    DEFAULT_CLASS_TOL): there the small plane carries no direction for `a`.
     """
     d, angle12, angle34 = _chart(state)
-    if math.sin(d) < _DEGENERATE_SIN_D:
-        raise DegenerateAngleError(
-            f"state lies on a maximally entangled circle (sin d = {math.sin(d):.3e}); torus angle a is undefined"
-        )
+    if d <= DEFAULT_CLASS_TOL:
+        raise DegenerateAngleError(f"state lies on a maximally entangled circle (d = {d:.3e}); torus angle a is undefined")
     if on_v34_side(state):
         return TorusPoint(d, angle12, angle34, SHEET_V34)
     return TorusPoint(d, angle34, angle12, SHEET_V12)
