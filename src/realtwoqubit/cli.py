@@ -2,10 +2,16 @@
 
 Subcommands: classify, prepare, connect, mesh, sample.  All numeric work
 happens in the library; this layer only parses arguments, shuttles JSON/CSV,
-and maps errors to exit codes (0 ok, 1 stdout closed early, 2 malformed
-input, usage or no stdin, 3 orbit mismatch under --local-only); with no
-stderr, error text is dropped, never sent to stdout.  States can also be
-piped on stdin, one whitespace-separated state per line, for batch runs.
+and maps errors to exit codes:
+
+    0  ok
+    1  stdout did not take the output: silent when its reader left early
+       (EPIPE), else `error: cannot write stdout: <strerror>`
+    2  bad input, usage, no stdin or an unwritable --out
+    3  ORBIT_MISMATCH: the orbits differ under --local-only
+
+With no stderr, error text is dropped, never sent to stdout.  States can also
+be piped on stdin, one whitespace-separated state per line, for batch runs.
 Any error on a stdin line, in reading, checking or making its record, names
 the line and keeps its exit code, as in `error: ORBIT_MISMATCH: line 2:
 states lie on different orbits (...)`; errors in argv name no line.  One
@@ -17,8 +23,8 @@ are one text; mesh returns its chunks and sample its JSON line.  This module
 alone reads stdin and writes stdout, stderr and --out, so the core does no
 I/O: `main` writes each text in full and flushed at once by `_write_all`,
 help too, so no record is held while the program waits for input, the
-records before a bad line stay, and a reader that leaves early ends every
-run with exit 1, under `python -u` too.
+records before a bad line stay, and a stdout that fails ends every run with
+exit 1, under `python -u` too.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -27,8 +33,8 @@ starts with `--` (or is `-h`) is a flag, given as `--flag value`,
 wins; every other token, and every token after `--`, is a number, wherever
 it stands.  Help and usage errors are formatted from the same table.
 
-At start-up only `codecs`, `errno`, `importlib`, `os`, `sys` (all loaded by
-the interpreter already) and the core's base `_core` are imported.  A
+At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
+loaded by the interpreter already) and the core's base `_core` are imported.  A
 subcommand imports its part of the core as it runs: `_state` with
 `_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
 `_usage`.  So a run compiles no part it does not run and loads neither argparse
@@ -131,21 +137,34 @@ def parse_args(argv: list[str]) -> types.SimpleNamespace:
 
 
 def _write_all(text: str) -> None:
-    """Write text to stdout in full, or raise, and flush it, so that no record waits while stdin does."""
-    out = getattr(sys.stdout, "buffer", None)
-    if out is None:  # an in-memory stream
-        sys.stdout.write(text)
-        return
-    sys.stdout.flush()  # the bytes go below the text layer: what was written to it before goes first
-    # Under python -u, out is the raw file: a write into a pipe that its reader closed may take only part,
-    # and one into a full non-blocking stdout takes nothing and returns None.
-    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    while view:
-        written = out.write(view)
-        if written is None:
-            raise BlockingIOError(errno.EAGAIN, "stdout is full")
-        view = view[written:]
-    out.flush()
+    """Write text to stdout in full and flush it, so that no record waits while stdin does; exit 1 if stdout fails."""
+    try:
+        if sys.stdout is None:  # fd 1 closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # an in-memory stream
+            sys.stdout.write(text)
+            return
+        sys.stdout.flush()  # the bytes go below the text layer: what was written to it before goes first
+        # Under python -u, out is the raw file: a write into a pipe that its reader closed may take only part,
+        # and one into a full non-blocking stdout takes nothing and returns None.
+        view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while view:
+            written = out.write(view)
+            if written is None:
+                raise BlockingIOError(errno.EAGAIN, "stdout is full")
+            view = view[written:]
+        out.flush()
+    except OSError as exc:  # the output is incomplete; a reader that left early (EPIPE) is no error to report
+        if exc.errno != errno.EPIPE:
+            _error(f"error: cannot write stdout: {exc.strerror}\n")
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # no stdout, or one without a file descriptor
+            pass
+        else:  # as the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise SystemExit(1) from None
 
 
 def _reads():
@@ -215,13 +234,9 @@ def main(argv=None) -> int:
             except OSError as exc:  # in opening or in writing: a missing directory and a full disk alike
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
             return 0
-        for text in texts:  # the one writer of stdout: each text in full and flushed, so a closed pipe shows here
+        for text in texts:  # the one writer of stdout: each text in full and flushed, so a failing stdout shows here
             _write_all(text)
         return 0
-    except BrokenPipeError:
-        # As the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OrbitMismatchError as exc:
         _error(f"error: ORBIT_MISMATCH: {exc}\n")
         return 3

@@ -138,10 +138,11 @@ def apply(circuit: Circuit, state: RealState) -> RealState:
     pins this down via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
 
     The four amplitudes are acted on in closed form (`_synthesis._apply`): Ry
-    on qubit 0 rotates the pairs (w1, w3) and (w2, w4), Ry on qubit 1 rotates
-    (w1, w2) and (w3, w4), X swaps the same pairs and CZ negates w4.  The
-    dense Kronecker matrices and the partial-trace entropy it is checked
-    against live in the suite (`tests/reference.py`), not here.
+    on qubit 0 rotates the pairs (w1, w3) and (w2, w4), X on qubit 0 swaps
+    them and CZ negates w4.  A qubit-1 gate is the qubit-0 one under the
+    w2 <-> w3 swap (SWAP conjugation), so it rotates or swaps (w1, w2) and
+    (w3, w4).  The dense Kronecker matrices and the partial-trace entropy it
+    is checked against live in the suite (`tests/reference.py`), not here.
     """
     return RealState._wrap(_apply(circuit, state))
 

@@ -1,6 +1,7 @@
 """CLI behavior: golden equivalence with the library, exit codes, batch stdin."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -731,6 +732,32 @@ def test_help_into_a_closed_pipe_ends_quietly(argv, unbuffered):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def _stdout_to_dev_full():
+    full = os.open("/dev/full", os.O_WRONLY)
+    os.dup2(full, 1)
+    os.close(full)
+
+
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@BUFFERING
+@pytest.mark.parametrize(
+    "argv, rewire, errno_",
+    [
+        pytest.param(["classify", "1", "0", "0", "0"], _stdout_to_dev_full, errno.ENOSPC, marks=NO_DEV_FULL, id="dev-full"),
+        pytest.param(["classify", "1", "0", "0", "0"], lambda: os.close(1), errno.EBADF, id="closed"),
+        pytest.param(["--help"], _stdout_to_dev_full, errno.ENOSPC, marks=NO_DEV_FULL, id="help-dev-full"),
+    ],
+)
+def test_failing_stdout_exits_1_with_its_error(argv, rewire, errno_, unbuffered):
+    # fd 1 is rewired in the child, away from the pipe: nothing reaches the pipe, and stderr names the error once.
+    pipes = {"stdin": subprocess.DEVNULL, "capture_output": True, "timeout": 60}
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_child_env(unbuffered), preexec_fn=rewire, **pipes)
+    expected = f"error: cannot write stdout: {os.strerror(errno_)}\n".encode()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", expected)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -877,8 +904,8 @@ def test_text_written_to_stdout_before_stays_first(capsys, monkeypatch):
     assert out.getvalue().decode() == "header\n" + record
 
 
-def test_full_nonblocking_stdout_raises(monkeypatch):
-    # A raw non-blocking stdout that is full takes nothing and returns None; the write raises instead of spinning.
+def test_full_nonblocking_stdout_raises(capsys, monkeypatch):
+    # A raw non-blocking stdout that is full takes nothing and returns None; the run ends with exit 1 instead of spinning.
     class FullOnce(io.RawIOBase):
         full = True
 
@@ -893,8 +920,9 @@ def test_full_nonblocking_stdout_raises(monkeypatch):
 
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 0 0 0\n"), encoding="utf-8"))
     monkeypatch.setattr("sys.stdout", io.TextIOWrapper(FullOnce(), encoding="utf-8", write_through=True))
-    with pytest.raises(BlockingIOError):
+    with pytest.raises(SystemExit) as exc:
         main(["classify"])
+    assert (exc.value.code, capsys.readouterr().err) == (1, "error: cannot write stdout: stdout is full\n")
 
 
 #: Per subcommand, the runs of the start-up test and the part modules of the core they may load.

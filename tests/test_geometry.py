@@ -193,6 +193,21 @@ class TestTorusAngles:
         with pytest.raises(DegenerateAngleError):
             torus_angles(bell_basis_state(1))
 
+    @pytest.mark.parametrize(
+        "d", [0.0, math.nextafter(1e-9, 0.0), 1e-9, math.nextafter(1e-9, 1.0)], ids=["0", "below-1e-9", "1e-9", "above-1e-9"]
+    )
+    def test_degenerate_exactly_where_classify_says_max_entangled(self, d):
+        # One circle rule: classify's band, d <= DEFAULT_CLASS_TOL = 1e-9, decides both.
+        state = from_bell(BellCoords(0.0, math.sin(d), math.cos(d), 0.0))
+        orbit = classify(state)
+        assert (orbit.d, orbit.kind) == (d, "max_entangled" if d <= 1e-9 else "generic")  # the float itself, not a neighbour
+        try:
+            torus_angles(state)
+            raised = False
+        except DegenerateAngleError:
+            raised = True
+        assert raised == (orbit.kind == "max_entangled")
+
     def test_round_trip_angles(self):
         p = TorusPoint(0.4, 1.2, -2.0, "V34")
         q = torus_angles(parametrize(p))

@@ -127,3 +127,10 @@ def test_each_name_is_defined_once():
             elif isinstance(node, ast.Assign):
                 names += [target.id for target in node.targets if isinstance(target, ast.Name)]
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def test_version_is_the_pyproject_version():
+    # The version is written twice, in pyproject.toml and in the package: the two must agree.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert realtwoqubit.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
