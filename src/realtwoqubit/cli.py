@@ -34,8 +34,8 @@ wins; every other token, and every token after `--`, is a number, wherever
 it stands.  Help and usage errors are formatted from the same table.
 
 At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
-loaded by the interpreter already) and the core's base `_core` are imported.  A
-subcommand imports its part of the core as it runs: `_state` with
+loaded by the interpreter already) and the core's base `_core` are imported.
+A subcommand imports its part of the core as it runs: `_state` with
 `_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
 `_usage`.  So a run compiles no part it does not run and loads neither argparse
 nor dataclasses nor the object API; `sample` imports `geometry`.
