@@ -1,7 +1,8 @@
-"""The orbit mesh walk, its CSV and JSON text writers, and the mesh subcommand's choice of one: no state code."""
+"""The orbit mesh walk in runs, its CSV and JSON writers (one join per run) and the mesh subcommand: no state code."""
 
 import math
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 
@@ -25,15 +26,23 @@ def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
     return (d, *sizes)
 
 
-def _mesh_rows(d: float, n_a: int, n_b: int, conv):
-    """The (u1, u2, u3, sheet) of the mesh points, one non-empty list per row, for a checked grid.
+def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between):
+    """The points of a checked grid as rows of runs: one non-empty list of non-empty runs per row.
 
     Every orbit is a product of two circles in the Bell planes, so each
     coordinate is an entry of a per-angle table: the trigonometry runs once
     per grid angle, and `conv` once per table entry, not once per point.  A
-    row is one grid row of a torus, or at most _CIRCLE_CHUNK angles of a
-    d = 0 circle, whose table is made per chunk.
+    point is open_ + u1 + comma + u2 + comma + u3 + close(sheet), and
+    `between` parts two points: text for the writers, tuples for orbit_mesh.
+    A run (left, pieces, right) is the points left + piece + right in the
+    order of its pieces, which are made once per table.  In a run either u3
+    varies (V34 and BOTH points), or u1 and u2 do (V12 points), or a piece
+    holds a V34 point's u3 and the next point's u1 and u2: the V34/V12
+    interleave of an upper-`a` row.  A row is one grid row of a torus, or
+    at most _CIRCLE_CHUNK angles of a d = 0 circle, whose table is made per
+    chunk.
     """
+    v34, v12 = close(SHEET_V34), close(SHEET_V12)
     if d <= _DOMAIN_SLACK:
         zero = conv(0.0)
 
@@ -44,12 +53,11 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv):
 
         for cos_b, sin_b in chunks():
             # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps half of it.
-            row = [(zero, zero, conv(c), SHEET_V34) for c, s in zip(cos_b, sin_b) if s >= 0.0]
-            if row:
-                yield row
+            if u3s := [conv(c) for c, s in zip(cos_b, sin_b) if s >= 0.0]:
+                yield [(open_ + zero + comma + zero + comma, u3s, v34)]
         for cos_b, sin_b in chunks():
             # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
-            yield [(conv(c), conv(s), zero, SHEET_V12) for c, s in zip(cos_b, sin_b)]
+            yield [(open_, [conv(c) + comma + conv(s) for c, s in zip(cos_b, sin_b)], comma + zero + v12)]
         return
     cos_b, sin_b = _angle_grid(n_b, range(n_b))
     sd, cd = math.sin(d), math.cos(d)
@@ -60,18 +68,29 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv):
     if abs(d - QUARTER_PI) <= _DOMAIN_SLACK:
         large_upper = [b1 for b1, _, b_up in large if b_up]
         for a1, a2, _ in small:
-            yield [(a1, a2, b1, SHEET_BOTH) for b1 in large_upper]
+            yield [(open_ + a1 + comma + a2 + comma, large_upper, close(SHEET_BOTH))]
         return
+    # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In b order, the large circle
+    # falls into segments of one sign of sin(b): (b_up, the u3 of its V34 points, its pieces in an upper-`a` row,
+    # where an upper b's V34 point comes before its V12 point).
+    segments = []
+    for b_up, segment in groupby(large, itemgetter(2)):
+        b1s, b2s, _ = zip(*segment)
+        pairs = [b1 + comma + b2 for b1, b2 in zip(b1s, b2s)]
+        segments.append((b_up, b1s, [b1 + v34 + between + open_ + p for b1, p in zip(b1s, pairs)] if b_up else pairs))
     for a1, a2, a_up in small:
-        row = []
-        for b1, b2, b_up in large:
-            # V34 sheet: x4 = cos(d) sin(b)
-            if b_up:
-                row.append((a1, a2, b1, SHEET_V34))
-            # V12 sheet: planes swapped, x4 = sin(d) sin(a)
-            if a_up:
-                row.append((b1, b2, a1, SHEET_V12))
-        yield row
+        left = open_ + a1 + comma + a2 + comma
+        if a_up:
+            yield [(left if b_up else open_, pieces, comma + a1 + v12) for b_up, _, pieces in segments]
+        else:
+            yield [(left, b1s, v34) for b_up, b1s, _ in segments if b_up]
+
+
+def _row_texts(rows, between: str):
+    """The text of each row of runs: a run is one join over its pieces, the separator made once per run."""
+    for i, row in enumerate(rows):
+        runs = [left + (right + between + left).join(pieces) + right for left, pieces, right in row]
+        yield (between if i else "") + between.join(runs)
 
 
 def mesh_to_csv(d: float, n_a: int, n_b: int):
@@ -80,10 +99,8 @@ def mesh_to_csv(d: float, n_a: int, n_b: int):
     Numbers in full (repr).  A bad request raises ValueError here, before any text is made.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    tail = f",{d!r},"
-    rows = _mesh_rows(d, n_a, n_b, repr)
-    text = ("".join([f"{u1},{u2},{u3}{tail}{sheet}\n" for u1, u2, u3, sheet in row]) for row in rows)
-    return chain(["u1,u2,u3,d,sheet\n"], text)
+    rows = _mesh_rows(d, n_a, n_b, repr, "", ",", lambda sheet: f",{d!r},{sheet}\n", "")
+    return chain(["u1,u2,u3,d,sheet\n"], _row_texts(rows, ""))
 
 
 def mesh_to_json(d: float, n_a: int, n_b: int):
@@ -94,12 +111,8 @@ def mesh_to_json(d: float, n_a: int, n_b: int):
     here, as in mesh_to_csv.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    rows = _mesh_rows(d, n_a, n_b, repr)
-    text = (
-        (", " if i else "") + ", ".join([f'{{"u": [{u1}, {u2}, {u3}], "sheet": "{s}"}}' for u1, u2, u3, s in row])
-        for i, row in enumerate(rows)
-    )
-    return chain([f'{{"d": {d!r}, "points": ['], text, ["]}\n"])
+    rows = _mesh_rows(d, n_a, n_b, repr, '{"u": [', ", ", lambda sheet: f'], "sheet": "{sheet}"}}', ", ")
+    return chain([f'{{"d": {d!r}, "points": ['], _row_texts(rows, ", "), ["]}\n"])
 
 
 def _cmd_mesh(args):

@@ -10,21 +10,21 @@ and maps errors to exit codes:
     2  bad input, usage, no stdin or an unwritable --out
     3  ORBIT_MISMATCH: the orbits differ under --local-only
 
-With no stderr, error text is dropped, never sent to stdout.  States can also
-be piped on stdin, one whitespace-separated state per line, for batch runs.
-Any error on a stdin line, in reading, checking or making its record, names
-the line and keeps its exit code, as in `error: ORBIT_MISMATCH: line 2:
-states lie on different orbits (...)`; errors in argv name no line.  One
-loop, `_records`, does that per-line work: each input state is validated
-once, as it is read; the work then runs on plain 4-tuples, and each record
-is one f-string of reprs, byte for byte what json.dumps writes.  Stdin is
-taken a read at a time, as much as it holds, and the records of each read
-are one text; mesh returns its chunks and sample its JSON line.  This module
-alone reads stdin and writes stdout, stderr and --out, so the core does no
-I/O: `main` writes each text in full and flushed at once by `_write_all`,
-help too, so no record is held while the program waits for input, the
-records before a bad line stay, and a stdout that fails ends every run with
-exit 1, under `python -u` too.
+With no stderr, or one that fails, error text is dropped, never sent to
+stdout, and the exit code stays.  States can also be piped on stdin, one
+whitespace-separated state per line, for batch runs.  Any error on a stdin
+line, in reading, checking or making its record, names the line and keeps its
+exit code, as in `error: ORBIT_MISMATCH: line 2: states lie on different
+orbits (...)`; errors in argv name no line.  One loop, `_records`, does that
+per-line work: each input state is validated once, as it is read; the work
+then runs on plain 4-tuples, and each record is one f-string of reprs, byte
+for byte what json.dumps writes.  Stdin is taken a read at a time, as much as
+it holds, and the records of each read are one text; mesh returns its chunks
+and sample its JSON line.  This module alone reads stdin and writes stdout,
+stderr and --out, so the core does no I/O: `main` writes each text in full
+and flushed at once by `_write_all`, help too, so no record is held while the
+program waits for input, the records before a bad line stay, and a stdout
+that fails ends every run with exit 1, under `python -u` too.
 
 One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
 per input and flags.  `parse_args` walks argv once against it: a token that
@@ -82,9 +82,21 @@ def _stop(command: str, error: str = ""):
 
 
 def _error(text: str) -> None:
-    """Write text to stderr; with no stderr (fd 2 closed at start-up) it is dropped, never sent to stdout."""
-    if sys.stderr is not None:
-        sys.stderr.write(text)
+    """Write text to stderr; with no stderr (fd 2 closed at start-up) or a failing one it is dropped, never sent to stdout."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(text)
+    except OSError:  # the exit code stays the one the error asks for
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """As the signal module's docs advise: a failed stream's fd goes to devnull, so the interpreter's last flush is silent."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError):  # no stream, or one without a file descriptor
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _flag(command: str, token: str, names) -> str:
@@ -158,12 +170,7 @@ def _write_all(text: str) -> None:
     except OSError as exc:  # the output is incomplete; a reader that left early (EPIPE) is no error to report
         if exc.errno != errno.EPIPE:
             _error(f"error: cannot write stdout: {exc.strerror}\n")
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError):  # no stdout, or one without a file descriptor
-            pass
-        else:  # as the signal module's docs advise: stdout goes to devnull, so the interpreter's last flush is silent
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        _to_devnull(sys.stdout)
         raise SystemExit(1) from None
 
 

@@ -154,7 +154,10 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     and the other is halved.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    return [MeshPoint(u1, u2, u3, d, sheet) for row in _mesh_rows(d, n_a, n_b, float) for u1, u2, u3, sheet in row]
+    # The walk's points as tuples of their five fields, a piece of a run being one or two whole points.
+    rows = _mesh_rows(d, n_a, n_b, lambda x: (x,), (), (), lambda sheet: (d, sheet), ())
+    fields = iter([x for row in rows for left, pieces, right in row for piece in pieces for x in left + piece + right])
+    return list(map(MeshPoint, *[fields] * 5))
 
 
 def sample_orbit_states(d: float, count: int, rng) -> list[RealState]:

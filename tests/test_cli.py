@@ -732,30 +732,43 @@ def test_help_into_a_closed_pipe_ends_quietly(argv, unbuffered):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
-def _stdout_to_dev_full():
-    full = os.open("/dev/full", os.O_WRONLY)
-    os.dup2(full, 1)
-    os.close(full)
+def _to_dev_full(*fds):
+    def rewire():
+        full = os.open("/dev/full", os.O_WRONLY)
+        for fd in fds:
+            os.dup2(full, fd)
+        os.close(full)
+
+    return rewire
+
+
+def _stderr_read_only():
+    read_only = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(read_only, 2)
+    os.close(read_only)
 
 
 NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+NO_SPACE, BAD_FD = (f"error: cannot write stdout: {os.strerror(code)}\n".encode() for code in (errno.ENOSPC, errno.EBADF))
 
 
 @BUFFERING
 @pytest.mark.parametrize(
-    "argv, rewire, errno_",
+    "argv, rewire, code, err",
     [
-        pytest.param(["classify", "1", "0", "0", "0"], _stdout_to_dev_full, errno.ENOSPC, marks=NO_DEV_FULL, id="dev-full"),
-        pytest.param(["classify", "1", "0", "0", "0"], lambda: os.close(1), errno.EBADF, id="closed"),
-        pytest.param(["--help"], _stdout_to_dev_full, errno.ENOSPC, marks=NO_DEV_FULL, id="help-dev-full"),
+        pytest.param(["classify", "1", "0", "0", "0"], _to_dev_full(1), 1, NO_SPACE, marks=NO_DEV_FULL, id="dev-full"),
+        pytest.param(["classify", "1", "0", "0", "0"], lambda: os.close(1), 1, BAD_FD, id="closed"),
+        pytest.param(["--help"], _to_dev_full(1), 1, NO_SPACE, marks=NO_DEV_FULL, id="help-dev-full"),
+        pytest.param(["classify", "1", "0", "0"], _stderr_read_only, 2, b"", id="bad-input-stderr-read-only"),
+        pytest.param(["classify", "1", "0", "0", "0"], _to_dev_full(1, 2), 1, b"", marks=NO_DEV_FULL, id="both-dev-full"),
     ],
 )
-def test_failing_stdout_exits_1_with_its_error(argv, rewire, errno_, unbuffered):
-    # fd 1 is rewired in the child, away from the pipe: nothing reaches the pipe, and stderr names the error once.
+def test_failing_streams_keep_the_exit_code(argv, rewire, code, err, unbuffered):
+    # fd 1 or fd 2 is rewired in the child, away from its pipe: stderr names a stdout error once, a stderr that
+    # fails drops the text, and the exit code is the one the exit table gives for the run.
     pipes = {"stdin": subprocess.DEVNULL, "capture_output": True, "timeout": 60}
     proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_child_env(unbuffered), preexec_fn=rewire, **pipes)
-    expected = f"error: cannot write stdout: {os.strerror(errno_)}\n".encode()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", expected)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", err)
 
 
 @pytest.mark.parametrize(

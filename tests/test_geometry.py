@@ -393,7 +393,9 @@ def _per_point_mesh(d, n_a, n_b):
     return points
 
 
-MESH_CASES = [(d, n, n + 1) for d in (0.0, 1e-13, math.pi / 6, PI4 - 1e-13, PI4) for n in (6, 7)]
+# With n_b = 2 every b is upper, so a row has no V12-only run; with n_a = 2 every row is an upper-a row.
+GRIDS = [(6, 7), (7, 8), (2, 2), (2, 3), (3, 2)]
+MESH_CASES = [(d, n_a, n_b) for d in (0.0, 1e-13, math.pi / 6, PI4 - 1e-13, PI4) for n_a, n_b in GRIDS]
 
 
 class TestMeshWriters:
@@ -424,10 +426,12 @@ class TestCircleChunks:
         # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b.
         from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows
 
-        rows = list(_mesh_rows(0.0, 2, 65536, float))
-        assert all(rows)
-        assert max(map(len, rows)) <= _CIRCLE_CHUNK
-        assert sum(map(len, rows)) == 65536 // 2 + 1 + 65536
+        rows = list(_mesh_rows(0.0, 2, 65536, repr, "", ",", str, ""))
+        assert all(rows) and all(pieces for row in rows for _, pieces, _ in row)
+        # On the circles a run's piece is one point.
+        points = [sum(len(pieces) for _, pieces, _ in row) for row in rows]
+        assert max(points) <= _CIRCLE_CHUNK
+        assert sum(points) == 65536 // 2 + 1 + 65536
 
     def test_chunked_circles_match_per_point_evaluation(self):
         # 1500 angles leave a short last chunk on both circles.
