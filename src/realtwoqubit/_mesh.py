@@ -35,12 +35,13 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     point is open_ + u1 + comma + u2 + comma + u3 + close(sheet), and
     `between` parts two points: text for the writers, tuples for orbit_mesh.
     A run (left, pieces, right) is the points left + piece + right in the
-    order of its pieces, which are made once per table.  In a run either u3
-    varies (V34 and BOTH points), or u1 and u2 do (V12 points), or a piece
-    holds a V34 point's u3 and the next point's u1 and u2: the V34/V12
-    interleave of an upper-`a` row.  A row is one grid row of a torus, or
-    at most _CIRCLE_CHUNK angles of a d = 0 circle, whose table is made per
-    chunk.
+    order of its pieces, which are made once per table, so a writer renders
+    it as left + (right + between + left).join(pieces) + right.  In a run
+    either u3 varies (V34 and BOTH points), or u1 and u2 do (V12 points), or
+    a piece holds a V34 point's u3 and the next point's u1 and u2: the
+    V34/V12 interleave of an upper-`a` row.  A row is one grid row of a
+    torus, or at most _CIRCLE_CHUNK angles of a d = 0 circle, whose table is
+    made per chunk.
     """
     v34, v12 = close(SHEET_V34), close(SHEET_V12)
     if d <= _DOMAIN_SLACK:
@@ -87,7 +88,7 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
 
 
 def _row_texts(rows, between: str):
-    """The text of each row of runs: a run is one join over its pieces, the separator made once per run."""
+    """The text of each row of runs, points parted by `between`: one join per run, its separator made once."""
     for i, row in enumerate(rows):
         runs = [left + (right + between + left).join(pieces) + right for left, pieces, right in row]
         yield (between if i else "") + between.join(runs)

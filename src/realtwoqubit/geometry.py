@@ -154,9 +154,9 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     and the other is halved.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    # The walk's points as tuples of their five fields, a piece of a run being one or two whole points.
+    # The walk in tuples: each left + piece + right of a run is the five fields of one point, or of two in turn.
     rows = _mesh_rows(d, n_a, n_b, lambda x: (x,), (), (), lambda sheet: (d, sheet), ())
-    fields = iter([x for row in rows for left, pieces, right in row for piece in pieces for x in left + piece + right])
+    fields = (x for row in rows for left, pieces, right in row for piece in pieces for x in left + piece + right)
     return list(map(MeshPoint, *[fields] * 5))
 
 
