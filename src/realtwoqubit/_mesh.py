@@ -1,7 +1,10 @@
-"""The orbit mesh walk in runs, its CSV and JSON writers (one join per run) and the mesh subcommand: no state code."""
+"""The orbit mesh walk in runs, its CSV and JSON writers (one join per run) and the mesh subcommand: no state code.
+
+At d = 0 the circles are walked a chunk of angles at a time, and the halved circle's walk stops at pi.
+"""
 
 import math
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import itemgetter
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
@@ -34,31 +37,35 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     per grid angle, and `conv` once per table entry, not once per point.  A
     point is open_ + u1 + comma + u2 + comma + u3 + close(sheet), and
     `between` parts two points: text for the writers, tuples for orbit_mesh.
-    A run (left, pieces, right) is the points left + piece + right in the
-    order of its pieces, which are made once per table, so a writer renders
-    it as left + (right + between + left).join(pieces) + right.  In a run
-    either u3 varies (V34 and BOTH points), or u1 and u2 do (V12 points), or
-    a piece holds a V34 point's u3 and the next point's u1 and u2: the
-    V34/V12 interleave of an upper-`a` row.  A row is one grid row of a
-    torus, or at most _CIRCLE_CHUNK angles of a d = 0 circle, whose table is
-    made per chunk.
+    A run (left, columns, right) is the points left + c_1 + ... + c_k + right,
+    one per index of its k equal-length columns, whose entries are made once
+    per table, so a writer renders it without code per point.  A torus run
+    has one column: either u3 varies (V34 and BOTH points), or u1 and u2 do
+    (V12 points), or an entry holds a V34 point's u3 and the next point's u1
+    and u2: the V34/V12 interleave of an upper-`a` row.  A row is one grid
+    row of a torus, or at most _CIRCLE_CHUNK angles of a d = 0 circle, whose
+    table is made per chunk.  The halved circle keeps the angles t <= pi,
+    exactly those with sin t >= 0 on the grid, and its walk stops at pi; the
+    whole circle's runs are the columns cos t, comma and sin t.
     """
     v34, v12 = close(SHEET_V34), close(SHEET_V12)
     if d <= _DOMAIN_SLACK:
         zero = conv(0.0)
-
-        def chunks():
-            # Each circle is walked on its own, one chunk's table at a time.
-            for i in range(0, n_b, _CIRCLE_CHUNK):
-                yield _angle_grid(n_b, range(i, min(i + _CIRCLE_CHUNK, n_b)))
-
-        for cos_b, sin_b in chunks():
-            # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps half of it.
-            if u3s := [conv(c) for c, s in zip(cos_b, sin_b) if s >= 0.0]:
-                yield [(open_ + zero + comma + zero + comma, u3s, v34)]
-        for cos_b, sin_b in chunks():
+        # Each circle is walked on its own, one chunk's table at a time.
+        starts = range(0, n_b, _CIRCLE_CHUNK)
+        left = open_ + zero + comma + zero + comma
+        for i in starts:
+            # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps t <= pi: the walk ends at the first chunk past pi.
+            if not (upper := [t for j in range(i, min(i + _CIRCLE_CHUNK, n_b)) if (t := TWO_PI * j / n_b) <= math.pi]):
+                break
+            yield [(left, ([*map(conv, map(math.cos, upper))],), v34)]
+        right = comma + zero + v12
+        for i in starts:
             # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
-            yield [(open_, [conv(c) + comma + conv(s) for c, s in zip(cos_b, sin_b)], comma + zero + v12)]
+            angles = [TWO_PI * j / n_b for j in range(i, min(i + _CIRCLE_CHUNK, n_b))]
+            # No local holds a column, so it dies with its row; each cosine and sine dies with its repr.
+            cos_t, sin_t = map(conv, map(math.cos, angles)), map(conv, map(math.sin, angles))
+            yield [(open_, ([*cos_t], [comma] * len(angles), [*sin_t]), right)]
         return
     cos_b, sin_b = _angle_grid(n_b, range(n_b))
     sd, cd = math.sin(d), math.cos(d)
@@ -69,7 +76,7 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     if abs(d - QUARTER_PI) <= _DOMAIN_SLACK:
         large_upper = [b1 for b1, _, b_up in large if b_up]
         for a1, a2, _ in small:
-            yield [(open_ + a1 + comma + a2 + comma, large_upper, close(SHEET_BOTH))]
+            yield [(open_ + a1 + comma + a2 + comma, (large_upper,), close(SHEET_BOTH))]
         return
     # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In b order, the large circle
     # falls into segments of one sign of sin(b): (b_up, the u3 of its V34 points, its pieces in an upper-`a` row,
@@ -82,16 +89,32 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     for a1, a2, a_up in small:
         left = open_ + a1 + comma + a2 + comma
         if a_up:
-            yield [(left if b_up else open_, pieces, comma + a1 + v12) for b_up, _, pieces in segments]
+            yield [(left if b_up else open_, (pieces,), comma + a1 + v12) for b_up, _, pieces in segments]
         else:
-            yield [(left, b1s, v34) for b_up, b1s, _ in segments if b_up]
+            yield [(left, (b1s,), v34) for b_up, b1s, _ in segments if b_up]
+
+
+def _run_text(left: str, columns, right: str, between: str) -> str:
+    """A run's points parted by `between`, in one join."""
+    sep = right + between + left
+    if len(columns) == 1:
+        return left + sep.join(columns[0]) + right
+    # Each point is its column entries then sep: slice them into one parts list, the last sep made right.
+    k = len(columns) + 1
+    parts = [sep] * (k * len(columns[0]))
+    for j, column in enumerate(columns):
+        parts[j::k] = column
+    parts[-1] = right
+    return left + "".join(parts)
 
 
 def _row_texts(rows, between: str):
-    """The text of each row of runs, points parted by `between`: one join per run, its separator made once."""
-    for i, row in enumerate(rows):
-        runs = [left + (right + between + left).join(pieces) + right for left, pieces, right in row]
-        yield (between if i else "") + between.join(runs)
+    """The text of each row of runs, points parted by `between`.
+
+    map holds no row once its text is made, so a row's strings are freed before the text is written.
+    """
+    texts = map(lambda row: between.join([_run_text(*run, between) for run in row]), rows)
+    return chain(islice(texts, 1), map(between.__add__, texts))
 
 
 def mesh_to_csv(d: float, n_a: int, n_b: int):

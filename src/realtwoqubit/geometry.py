@@ -26,6 +26,8 @@ the sampling of an orbit, with the `sample` subcommand.
 """
 
 import math
+from functools import partial, reduce
+from operator import add
 from typing import NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
@@ -154,9 +156,11 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     and the other is halved.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    # The walk in tuples: each left + piece + right of a run is the five fields of one point, or of two in turn.
+    # The walk in tuples: a run's columns, added entry by entry, are its pieces, and each left + piece + right is the
+    # five fields of one point, or of two in turn.
     rows = _mesh_rows(d, n_a, n_b, lambda x: (x,), (), (), lambda sheet: (d, sheet), ())
-    fields = (x for row in rows for left, pieces, right in row for piece in pieces for x in left + piece + right)
+    runs = ((left, reduce(partial(map, add), columns), right) for row in rows for left, columns, right in row)
+    fields = (x for left, pieces, right in runs for piece in pieces for x in left + piece + right)
     return list(map(MeshPoint, *[fields] * 5))
 
 

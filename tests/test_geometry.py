@@ -427,20 +427,23 @@ class TestCircleChunks:
         from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows
 
         rows = list(_mesh_rows(0.0, 2, 65536, repr, "", ",", str, ""))
-        assert all(rows) and all(pieces for row in rows for _, pieces, _ in row)
-        # On the circles a run's piece is one point.
-        points = [sum(len(pieces) for _, pieces, _ in row) for row in rows]
+        assert all(rows) and all(columns[0] for row in rows for _, columns, _ in row)
+        # On the circles a run's column entry is one point.
+        points = [sum(len(columns[0]) for _, columns, _ in row) for row in rows]
         assert max(points) <= _CIRCLE_CHUNK
         assert sum(points) == 65536 // 2 + 1 + 65536
 
-    def test_chunked_circles_match_per_point_evaluation(self):
-        # 1500 angles leave a short last chunk on both circles.
-        points = orbit_mesh(0.0, 2, 1500)
-        assert points == _per_point_mesh(0.0, 2, 1500)
+    @pytest.mark.parametrize("n_b", [1500, 2, 3, 4, 5, 22, 26, 511, 512, 513, 1024, 1025, 4097])
+    def test_chunked_circles_match_per_point_evaluation(self, n_b):
+        # 1500 angles leave a short last chunk on both circles.  The halved circle stops at t <= pi, the reference
+        # keeps sin t >= 0: an even n_b puts an angle on pi (22 just below it, 26 just past it), an odd one
+        # straddles it, 511 to 4097 straddle _CIRCLE_CHUNK, and at 1024 a chunk starts on pi.
+        points = orbit_mesh(0.0, 2, n_b)
+        assert points == _per_point_mesh(0.0, 2, n_b)
         rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
-        assert "".join(mesh_to_csv(0.0, 2, 1500)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+        assert "".join(mesh_to_csv(0.0, 2, n_b)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
         data = {"d": 0.0, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
-        assert "".join(mesh_to_json(0.0, 2, 1500)) == json.dumps(data) + "\n"
+        assert "".join(mesh_to_json(0.0, 2, n_b)) == json.dumps(data) + "\n"
 
 
 class TestSampling:

@@ -21,6 +21,7 @@ from realtwoqubit import (
     classify,
     concurrence,
     cz_connect,
+    entanglement_distance,
     entropy_from_distance,
     from_bell,
     orbit_mesh,
@@ -57,6 +58,18 @@ class TestConstruction:
     def test_far_off_norm_named_in_the_error(self, scale, norm):
         with pytest.raises(ValueError, match=f"norm {re.escape(norm)}, not within"):
             RealState(scale, 0.0, 0.0, 0.0)
+
+    def test_bell_change_errors_cite_the_callers_figures(self):
+        # The Bell image rounds the norm in its last digit and spreads a nan: the error shows what was passed.
+        for call, vector, message in [
+            (to_bell, (2, 0, 0, 0), "amplitude vector has norm 2.0,"),
+            (classify, (2, 0, 0, 2), "amplitude vector has norm 2.8284271247461903,"),
+            (entanglement_distance, (0, 3, 0, 0), "amplitude vector has norm 3.0,"),
+            (to_bell, (math.nan, 0, 0, 0), "amplitude components must be finite, got (nan, 0, 0, 0)"),
+            (from_bell, (2, 0, 0, 0), "Bell coordinate vector has norm 2.0,"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(vector)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
