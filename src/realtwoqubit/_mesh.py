@@ -1,11 +1,11 @@
 """The orbit mesh walk in runs, its CSV and JSON writers (one join per run) and the mesh subcommand: no state code.
 
-At d = 0 the circles are walked a chunk of angles at a time, and the halved circle's walk stops at pi.
+The x4 >= 0 cut keeps the upper half of an n-point grid circle by index, not by the sign of a rounded sine: its first
+n // 2 + 1 angles 2 pi j / n, those with 2j <= n.  At d = 0 the circles are walked a chunk of angles at a time.
 """
 
 import math
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, islice
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 
@@ -13,9 +13,9 @@ from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, 
 _CIRCLE_CHUNK = 512
 
 
-def _angle_grid(n: int, indices: range) -> tuple[list[float], list[float]]:
-    """cos t and sin t at t = 2 pi i / n for i in indices."""
-    angles = [TWO_PI * i / n for i in indices]
+def _angle_grid(n: int) -> tuple[list[float], list[float]]:
+    """cos t and sin t at the n grid angles t = 2 pi i / n."""
+    angles = [TWO_PI * i / n for i in range(n)]
     return list(map(math.cos, angles)), list(map(math.sin, angles))
 
 
@@ -44,54 +44,48 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     (V12 points), or an entry holds a V34 point's u3 and the next point's u1
     and u2: the V34/V12 interleave of an upper-`a` row.  A row is one grid
     row of a torus, or at most _CIRCLE_CHUNK angles of a d = 0 circle, whose
-    table is made per chunk.  The halved circle keeps the angles t <= pi,
-    exactly those with sin t >= 0 on the grid, and its walk stops at pi; the
-    whole circle's runs are the columns cos t, comma and sin t.
+    table is made per chunk.  The halved circle's walk covers its upper
+    angles only; the whole circle's runs are the columns cos t, comma and sin t.
     """
     v34, v12 = close(SHEET_V34), close(SHEET_V12)
+    half_b = n_b // 2 + 1
     if d <= _DOMAIN_SLACK:
         zero = conv(0.0)
         # Each circle is walked on its own, one chunk's table at a time.
-        starts = range(0, n_b, _CIRCLE_CHUNK)
         left = open_ + zero + comma + zero + comma
-        for i in starts:
-            # E(v3,v4): (0, 0, cos t, sin t); the x4 >= 0 cut keeps t <= pi: the walk ends at the first chunk past pi.
-            if not (upper := [t for j in range(i, min(i + _CIRCLE_CHUNK, n_b)) if (t := TWO_PI * j / n_b) <= math.pi]):
-                break
-            yield [(left, ([*map(conv, map(math.cos, upper))],), v34)]
+        for i in range(0, half_b, _CIRCLE_CHUNK):
+            # E(v3,v4): (0, 0, cos t, sin t), halved.
+            angles = [TWO_PI * j / n_b for j in range(i, min(i + _CIRCLE_CHUNK, half_b))]
+            yield [(left, ([*map(conv, map(math.cos, angles))],), v34)]
         right = comma + zero + v12
-        for i in starts:
+        for i in range(0, n_b, _CIRCLE_CHUNK):
             # E(v1,v2): (cos t, sin t, 0, 0) has x4 = 0 identically: kept whole.
             angles = [TWO_PI * j / n_b for j in range(i, min(i + _CIRCLE_CHUNK, n_b))]
             # No local holds a column, so it dies with its row; each cosine and sine dies with its repr.
             cos_t, sin_t = map(conv, map(math.cos, angles)), map(conv, map(math.sin, angles))
             yield [(open_, ([*cos_t], [comma] * len(angles), [*sin_t]), right)]
         return
-    cos_b, sin_b = _angle_grid(n_b, range(n_b))
+    cos_b, sin_b = _angle_grid(n_b)
     sd, cd = math.sin(d), math.cos(d)
-    # The (x1, x2) circle of radius sin d and the (x3, x4) circle of radius
-    # cos d, with the sign test of each circle's second coordinate.
-    small = [(conv(sd * c), conv(sd * s), s >= 0.0) for c, s in zip(*_angle_grid(n_a, range(n_a)))]
-    large = [(conv(cd * c), conv(cd * s), s >= 0.0) for c, s in zip(cos_b, sin_b)]
+    # The (x1, x2) circle of radius sin d, and the x3 entries of the (x3, x4) circle of radius cos d.
+    small = [(conv(sd * c), conv(sd * s)) for c, s in zip(*_angle_grid(n_a))]
+    b1s = [conv(cd * c) for c in cos_b]
+    upper = b1s[:half_b]
     if abs(d - QUARTER_PI) <= _DOMAIN_SLACK:
-        large_upper = [b1 for b1, _, b_up in large if b_up]
-        for a1, a2, _ in small:
-            yield [(open_ + a1 + comma + a2 + comma, (large_upper,), close(SHEET_BOTH))]
+        for a1, a2 in small:
+            yield [(open_ + a1 + comma + a2 + comma, (upper,), close(SHEET_BOTH))]
         return
-    # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In b order, the large circle
-    # falls into segments of one sign of sin(b): (b_up, the u3 of its V34 points, its pieces in an upper-`a` row,
-    # where an upper b's V34 point comes before its V12 point).
-    segments = []
-    for b_up, segment in groupby(large, itemgetter(2)):
-        b1s, b2s, _ = zip(*segment)
-        pairs = [b1 + comma + b2 for b1, b2 in zip(b1s, b2s)]
-        segments.append((b_up, b1s, [b1 + v34 + between + open_ + p for b1, p in zip(b1s, pairs)] if b_up else pairs))
-    for a1, a2, a_up in small:
+    # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In an upper-`a` row an upper
+    # b's V34 point comes before its V12 point, and a lower b has its V12 point only.
+    pairs = [b1 + comma + conv(cd * s) for b1, s in zip(b1s, sin_b)]
+    interleave = [b1 + v34 + between + open_ + p for b1, p in zip(upper, pairs)]
+    lower = pairs[half_b:]
+    for i, (a1, a2) in enumerate(small):
         left = open_ + a1 + comma + a2 + comma
-        if a_up:
-            yield [(left if b_up else open_, (pieces,), comma + a1 + v12) for b_up, _, pieces in segments]
+        if 2 * i <= n_a:
+            yield [(lead, (pieces,), comma + a1 + v12) for lead, pieces in ((left, interleave), (open_, lower)) if pieces]
         else:
-            yield [(left, (b1s,), v34) for b_up, b1s, _ in segments if b_up]
+            yield [(left, (upper,), v34)]
 
 
 def _run_text(left: str, columns, right: str, between: str) -> str:

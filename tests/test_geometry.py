@@ -374,21 +374,25 @@ class TestOrbitMesh:
 
 
 def _per_point_mesh(d, n_a, n_b):
-    """orbit_mesh with the trigonometry evaluated afresh at every point: the reference."""
-    grid_a = [TWO_PI * i / n_a for i in range(n_a)]
-    grid_b = [TWO_PI * i / n_b for i in range(n_b)]
+    """orbit_mesh with the trigonometry evaluated afresh at every point: the reference.
+
+    x4 >= 0 keeps the grid angle 2 pi j / n exactly when 2j <= n; a sine of the rounded angle would drop t = pi
+    for some even n, where the angle rounds past pi.
+    """
+    grid_a = [(TWO_PI * i / n_a, 2 * i <= n_a) for i in range(n_a)]
+    grid_b = [(TWO_PI * j / n_b, 2 * j <= n_b) for j in range(n_b)]
     if d <= 1e-12:
-        return [(0.0, 0.0, math.cos(t), d, "V34") for t in grid_b if math.sin(t) >= 0.0] + [
-            (math.cos(t), math.sin(t), 0.0, d, "V12") for t in grid_b
+        return [(0.0, 0.0, math.cos(t), d, "V34") for t, upper in grid_b if upper] + [
+            (math.cos(t), math.sin(t), 0.0, d, "V12") for t, _ in grid_b
         ]
     sd, cd = math.sin(d), math.cos(d)
     points = []
-    for a in grid_a:
-        for b in grid_b:
-            if math.sin(b) >= 0.0:
+    for a, a_upper in grid_a:
+        for b, b_upper in grid_b:
+            if b_upper:
                 sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
                 points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
-            if math.sin(a) >= 0.0 and abs(d - PI4) > 1e-12:
+            if a_upper and abs(d - PI4) > 1e-12:
                 points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
     return points
 
@@ -433,17 +437,48 @@ class TestCircleChunks:
         assert max(points) <= _CIRCLE_CHUNK
         assert sum(points) == 65536 // 2 + 1 + 65536
 
-    @pytest.mark.parametrize("n_b", [1500, 2, 3, 4, 5, 22, 26, 511, 512, 513, 1024, 1025, 4097])
+    @pytest.mark.parametrize("n_b", [1500, 2, 3, 4, 5, 22, 26, 52, 94, 511, 512, 513, 1022, 1023, 1024, 1025, 4097])
     def test_chunked_circles_match_per_point_evaluation(self, n_b):
-        # 1500 angles leave a short last chunk on both circles.  The halved circle stops at t <= pi, the reference
-        # keeps sin t >= 0: an even n_b puts an angle on pi (22 just below it, 26 just past it), an odd one
-        # straddles it, 511 to 4097 straddle _CIRCLE_CHUNK, and at 1024 a chunk starts on pi.
+        # 1500 angles leave a short last chunk on both circles.  An even n_b puts a grid angle on pi, kept by
+        # index however it rounds (22 just below pi, 26, 52 and 94 just past it), an odd one straddles pi,
+        # 511 to 4097 straddle _CIRCLE_CHUNK, at 1022 and 1023 the halved circle ends on a chunk, and at 1024 a
+        # chunk starts on pi.
         points = orbit_mesh(0.0, 2, n_b)
         assert points == _per_point_mesh(0.0, 2, n_b)
         rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
         assert "".join(mesh_to_csv(0.0, 2, n_b)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
         data = {"d": 0.0, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
         assert "".join(mesh_to_json(0.0, 2, n_b)) == json.dumps(data) + "\n"
+
+
+#: Every grid size up to 64, and three even sizes whose angle 2 pi (n/2) / n rounds past pi.
+COUNT_SIZES = [*range(2, 65), 94, 104, 166]
+
+
+def _point_count(d, n_a, n_b):
+    """The points of the x4 >= 0 half of the grid, where an n-point circle has n // 2 + 1 upper angles."""
+    if d == 0.0:
+        return n_b // 2 + 1 + n_b
+    if d == PI4:
+        return n_a * (n_b // 2 + 1)
+    return n_a * (n_b // 2 + 1) + (n_a // 2 + 1) * n_b
+
+
+class TestMeshPointCounts:
+    @pytest.mark.parametrize("n_b", COUNT_SIZES)
+    @pytest.mark.parametrize("d", [0.0, 0.3, PI4])
+    def test_every_writer_keeps_the_upper_half_by_index(self, d, n_b):
+        for n_a in COUNT_SIZES:
+            count = _point_count(d, n_a, n_b)
+            assert len(orbit_mesh(d, n_a, n_b)) == count, n_a
+            assert "".join(mesh_to_csv(d, n_a, n_b)).count("\n") == 1 + count, n_a
+            assert "".join(mesh_to_json(d, n_a, n_b)).count('"sheet"') == count, n_a
+
+    def test_t_pi_points_are_kept(self):
+        # 2 pi 13 / 26 rounds past pi, where its sine is about -3e-16: the circle still reaches u3 = -1.
+        v34 = [p.u3 for p in orbit_mesh(0.0, 2, 26) if p.sheet == "V34"]
+        assert (len(v34), min(v34)) == (14, -1.0)
+        assert sum(p.sheet == "V34" for p in orbit_mesh(0.3, 4, 26)) == 56
 
 
 class TestSampling:

@@ -1,9 +1,14 @@
-"""The benchmark harness runs end to end in its smoke mode, and every item meets tol."""
+"""The benchmark harness runs end to end in smoke mode, every item meets tol, and its mesh counts are the package's."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from realtwoqubit import orbit_mesh
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +32,16 @@ def test_smoke_run_is_correct():
         if r["fail_share"] != 0
     }
     assert not misses, misses
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+@pytest.mark.parametrize("seed", [1, 11])
+def test_mesh_item_counts_are_the_package_counts(seed, smoke, monkeypatch):
+    # The harness counts the upper half of a circle with a sine test, the package by index: the two agree on the
+    # benchmark's power-of-two sizes, not on every even size (26 is one where they differ).
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    requests = [inv.inputs for inv in workloads.build("mesh-orbits", seed, smoke)]
+    assert requests
+    for req in requests:
+        assert workloads._mesh_points(req) == len(orbit_mesh(req.d, req.na, req.nb)), req
