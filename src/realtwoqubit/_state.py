@@ -24,31 +24,14 @@ def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tu
     return a / norm, b / norm, c / norm, d / norm
 
 
-def _refused(error: ValueError, *vector: float, noun: str = "amplitude") -> ValueError:
-    """_unit's error on a vector whose Bell image it refused, which cites the vector's own figures; else `error`."""
-    try:
-        _unit(*vector, noun)
-    except ValueError as own:
-        return own
-    return error
-
-
 def _to_bell(state) -> tuple:
     w1, w2, w3, w4 = state
-    # The change is orthogonal, so the norm checked is the caller's: an amplitude vector here, Bell coordinates below.
-    # Only up to rounding, and a nan spreads, so a refused image is checked again as the caller's vector.
-    try:
-        return _unit((w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2)
-    except ValueError as error:
-        raise _refused(error, w1, w2, w3, w4) from None
+    return _unit((w1 - w4) * _INV_SQRT2, (w2 + w3) * _INV_SQRT2, (w1 + w4) * _INV_SQRT2, (w2 - w3) * _INV_SQRT2)
 
 
 def _from_bell(coords) -> tuple:
     x1, x2, x3, x4 = coords
-    try:
-        return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2, _BELL_NOUN)
-    except ValueError as error:
-        raise _refused(error, x1, x2, x3, x4, noun=_BELL_NOUN) from None
+    return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
 
 
 def _minor(state) -> float:

@@ -57,14 +57,14 @@ def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -
         # Opposite sheets: X on qubit 0 maps one torus onto its mirror.
         prefix = (_X0,)
         source_chart = _chart(_apply(prefix, source))
-    _, c12, c34 = source_chart
+    d_s, c12, c34 = source_chart
     d, t12, t34 = target_chart
     d_alpha = _wrap_angle(t12 - c12)
     d_beta = _wrap_angle(t34 - c34)
-    if 2.0 * math.sin(d) <= tol:
-        # Circle case.  Ry(q0, g) rotates the (x1, x2) plane by g/2 and the
-        # (x3, x4) plane by -g/2; only the populated plane is matched, and the
-        # other one, of radius sin d, moves the result by at most 2 sin d.
+    if math.sin(d_s) + math.sin(d) <= tol:
+        # Circle case.  Ry(q0, g) rotates the (x1, x2) plane by g/2 and the (x3, x4) plane by -g/2; only the
+        # populated plane is matched, and the other one, of radius sin d_s at the source and sin d at the target,
+        # moves the result by at most their sum.
         return prefix + (("ry", 0, _wrap_angle(-2.0 * d_beta if v34 else 2.0 * d_alpha)),)
     # Common torus: rotate the (x1, x2) plane by s + t and (x3, x4) by t - s.
     # The other mod-2pi branch, (s + pi, t + pi), wraps to the same angles.

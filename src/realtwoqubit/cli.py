@@ -203,9 +203,12 @@ def _records(run, args):
     if args.values:
         yield run(args, *_states_from_values(args.values, args.per_line))
         return
-    number, tail = 0, ""
+    number, pieces = 0, []  # the pieces of a line longer than a read, joined once at its newline
     for text in _reads():
-        *lines, tail = (tail + text).split("\n")  # "\n" only, as sys.stdin splits lines
+        *lines, tail = text.split("\n")  # "\n" only, as sys.stdin splits lines
+        if lines:
+            lines[0], pieces = "".join([*pieces, lines[0]]), []
+        pieces.append(tail)
         records = []
         try:
             for number, line in enumerate(lines, number + 1):

@@ -33,8 +33,6 @@ from typing import NamedTuple
 from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
 from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 from ._mesh import _checked_grid, _mesh_rows
-# Kept because perfbench/spans.py traces the mesh writer as geometry.mesh_to_csv.
-from ._mesh import mesh_to_csv  # noqa: F401
 from ._state import _chart, _distance, _to_bell, on_v34_side
 from .states import BellCoords, RealState, from_bell
 
@@ -83,7 +81,7 @@ def entanglement_distance(state: RealState) -> float:
     same fold computed stably at both circles, where the arcsin form loses
     half its digits.
     """
-    return _distance(_to_bell(state))
+    return _distance(_to_bell(RealState.from_vector(state)))
 
 
 def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitClass:
@@ -94,6 +92,7 @@ def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitCla
     The sheet comes from the sign of w1*w4 - w2*w3: V34 when it is positive
     or zero, V12 when negative.
     """
+    state = RealState.from_vector(state)
     return OrbitClass(*_classify(state, _to_bell(state), class_tol))
 
 
@@ -121,6 +120,7 @@ def torus_angles(state: RealState) -> TorusPoint:
     Raises DegenerateAngleError where classify says max_entangled (d <=
     DEFAULT_CLASS_TOL): there the small plane carries no direction for `a`.
     """
+    state = RealState.from_vector(state)
     d, angle12, angle34 = _chart(state)
     if d <= DEFAULT_CLASS_TOL:
         raise DegenerateAngleError(f"state lies on a maximally entangled circle (d = {d:.3e}); torus angle a is undefined")

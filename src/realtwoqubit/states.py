@@ -16,16 +16,16 @@ once by `_unit` where it is made: from input, by the Bell change or by a
 circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
 in the core's `_state` part; this module makes RealState and BellCoords the
 same 4-tuples as named tuples, and `_checked_dict` checks the dict every
-loader reads.  So every function that only reads a state takes either form,
-and the functions that return one wrap the tuple without checking it again.
+loader reads.  Every object-API function reads its states through
+`from_vector`, which passes a record of its class as it is, refuses the other
+record class and checks anything else; the functions that return one wrap
+the core's tuple without checking it again.
 """
 
 from collections import namedtuple
 
 from ._core import _integer, _number
 from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
-# Kept because perfbench/spans.py traces them as states.concurrence and states.sign_residual.
-from ._state import concurrence, sign_residual  # noqa: F401
 
 
 def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
@@ -72,6 +72,11 @@ class _UnitVector:
 
     @classmethod
     def from_vector(cls, vec):
+        """An instance passes as it is, the other record class is refused and anything else goes to the constructor."""
+        if isinstance(vec, cls):
+            return vec
+        if isinstance(vec, _UnitVector):
+            raise ValueError(f"expected {cls._noun}s, got {vec!r}")
         values = tuple(vec) if hasattr(vec, "__iter__") else (vec,)
         if len(values) != 4:
             raise ValueError(f"expected 4 {cls._noun}s, got {vec!r}")
@@ -110,7 +115,7 @@ def to_bell(state: RealState) -> BellCoords:
     x1 = (w1 - w4)/sqrt(2), x2 = (w2 + w3)/sqrt(2),
     x3 = (w1 + w4)/sqrt(2), x4 = (w2 - w3)/sqrt(2).
     """
-    return BellCoords._wrap(_to_bell(state))
+    return BellCoords._wrap(_to_bell(RealState.from_vector(state)))
 
 
 def from_bell(coords: BellCoords) -> RealState:
@@ -119,7 +124,7 @@ def from_bell(coords: BellCoords) -> RealState:
     w1 = (x1 + x3)/sqrt(2), w2 = (x2 + x4)/sqrt(2),
     w3 = (x2 - x4)/sqrt(2), w4 = (x3 - x1)/sqrt(2).
     """
-    return RealState._wrap(_from_bell(coords))
+    return RealState._wrap(_from_bell(BellCoords.from_vector(coords)))
 
 
 def bell_basis_state(index: int) -> RealState:

@@ -19,7 +19,7 @@ Three constructive results, each verified against the simulator:
   by local gates alone.  On a common torus the Bell planes rotate by s + t
   and t - s under Ry(2s) x Ry(2t), so matching both plane angles is a linear
   solve; an X on qubit 0 first swaps the sheets when the endpoints disagree,
-  and on the circles, when 2 sin d <= tol, a single Ry(q0) suffices.
+  and on the circles, when sin d_s + sin d_t <= tol, a single Ry(q0) suffices.
 * cz_connect: any two states are joined with at most one CZ.  At equal d
   the plan is local_connect's: one core solver, `_connect`, serves both
   and refuses the CZ step for local_connect.  Otherwise the CZ image
@@ -144,7 +144,7 @@ def apply(circuit: Circuit, state: RealState) -> RealState:
     (w3, w4).  The dense Kronecker matrices and the partial-trace entropy it
     is checked against live in the suite (`tests/reference.py`), not here.
     """
-    return RealState._wrap(_apply(circuit, state))
+    return RealState._wrap(_apply(circuit, RealState.from_vector(state)))
 
 
 class ConnectionPlan(NamedTuple):
@@ -186,7 +186,7 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
     more than tol: the entanglement entropies differ, so no local circuit
     exists.
     """
-    return _plan(*_connect(source, target, _checked_tol(tol), local_only=True))
+    return _plan(*_connect(*map(RealState.from_vector, (source, target)), _checked_tol(tol), local_only=True))
 
 
 def intersection_state(d0: float, d1: float) -> RealState:
@@ -211,7 +211,7 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
     reported intermediate is the intersection state either way.  Each
     endpoint is charted once, for the d comparison and for its leg.
     """
-    return _plan(*_connect(source, target, _checked_tol(tol)))
+    return _plan(*_connect(*map(RealState.from_vector, (source, target)), _checked_tol(tol)))
 
 
 def prepare(target: RealState) -> Circuit:
@@ -219,8 +219,5 @@ def prepare(target: RealState) -> Circuit:
 
     Exact up to the global sign; the suite's convention test fixes this
     layout as the single consistent one for the simulator's conventions.
-    A target that is not a RealState is read by RealState.from_vector, which
-    refuses a vector that is not a state.
     """
-    target = target if isinstance(target, RealState) else RealState.from_vector(target)
-    return Circuit(Gate(*g) for g in _prepare(target))
+    return Circuit(Gate(*g) for g in _prepare(RealState.from_vector(target)))

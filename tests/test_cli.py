@@ -11,6 +11,7 @@ import random
 import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -242,6 +243,14 @@ class TestConnect:
         assert run_cli(capsys, "connect", "--local-only") == (code, out, err)
         for a, b in pairs:
             assert local_connect(a, b) == cz_connect(a, b)
+
+    def test_near_circle_pair_meets_the_default_tol(self, capsys):
+        # Both ends lie near a circle, the source further out: the one-Ry form would miss by 1.6e-10.
+        src = ["0.6755249098675884", "0.20896434210788314", "-0.20896434210788314", "0.6755249096837406"]
+        tgt = ["0.32074089334812256", "0.6301787677428021", "-0.6301787677428021", "0.32074089341176215"]
+        code, out, err = run_cli(capsys, "connect", *src, *tgt)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["residual"] <= 1e-10
 
     def test_wrong_arity(self, capsys):
         code, _, _ = run_cli(capsys, "connect", "1", "0", "0", "0")
@@ -904,6 +913,15 @@ def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
     assert main(["classify"]) == 0
     assert out.getvalue() == expected
     assert 1 < out.writes <= -(-len(text) // _READ_SIZE) + 1
+
+
+def test_a_line_longer_than_many_reads_takes_linear_time(capsys, monkeypatch):
+    # One 8 MB line with no newline spans about a thousand reads; copying it again at each read took seconds.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1" * 8_000_000), encoding="utf-8"))
+    start = time.perf_counter()
+    result = run_cli(capsys, "classify")
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", "error: line 1: expected 4 numbers, got 1\n")
 
 
 def test_text_written_to_stdout_before_stays_first(capsys, monkeypatch):

@@ -11,9 +11,9 @@ import realtwoqubit
 
 #: Each name the core took from an object-API module that the module still imports.
 MOVED = {
-    "states": "_BELL_NOUN _unit _to_bell _from_bell concurrence sign_residual",
+    "states": "_BELL_NOUN _unit _to_bell _from_bell",
     "geometry": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
-    "entropy_from_concurrence _checked_grid _mesh_rows mesh_to_csv",
+    "entropy_from_concurrence _checked_grid _mesh_rows",
     "synthesis": "_inverse _apply _intersection _connect _prepare",
 }
 
@@ -22,10 +22,10 @@ PART = {
     name: part
     for part, names in {
         "_core": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 _checked_distance",
-        "_state": "_BELL_NOUN _unit _to_bell _from_bell concurrence sign_residual _chart",
+        "_state": "_BELL_NOUN _unit _to_bell _from_bell _chart",
         "_classify": "DEFAULT_CLASS_TOL entropy_from_concurrence",
         "_synthesis": "_inverse _apply _intersection _connect _prepare",
-        "_mesh": "_checked_grid _mesh_rows mesh_to_csv",
+        "_mesh": "_checked_grid _mesh_rows",
     }.items()
     for name in names.split()
 }
@@ -35,9 +35,6 @@ MODULES = sorted(path.stem for path in Path(realtwoqubit.__file__).parent.glob("
 
 #: The modules that read stdin, write stdout, stderr or a file, or exit: cli alone, which writes help and usage errors too.
 STDOUT_WRITERS = {"cli"}
-
-#: Core names a module imports without calling them: perfbench/spans.py traces them by these paths.
-TRACED_REEXPORTS = {"states": {"concurrence", "sign_residual"}, "geometry": {"mesh_to_csv"}}
 
 
 @pytest.mark.parametrize("name", realtwoqubit.__all__)
@@ -82,7 +79,7 @@ def test_core_imports_are_used(module):
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert imported - used == TRACED_REEXPORTS.get(module, set())
+    assert imported - used == set()
 
 
 @pytest.mark.parametrize("module", MODULES)

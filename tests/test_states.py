@@ -65,11 +65,16 @@ class TestConstruction:
             (to_bell, (2, 0, 0, 0), "amplitude vector has norm 2.0,"),
             (classify, (2, 0, 0, 2), "amplitude vector has norm 2.8284271247461903,"),
             (entanglement_distance, (0, 3, 0, 0), "amplitude vector has norm 3.0,"),
-            (to_bell, (math.nan, 0, 0, 0), "amplitude components must be finite, got (nan, 0, 0, 0)"),
+            (to_bell, (math.nan, 0, 0, 0), "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
             (from_bell, (2, 0, 0, 0), "Bell coordinate vector has norm 2.0,"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 call(vector)
+
+    def test_from_vector_passes_a_record_of_its_class_as_it_is(self, rng):
+        # Dividing a unit vector by its norm again would move an ulp in some states.
+        s, x = _random_state(rng), to_bell(_random_state(rng))
+        assert RealState.from_vector(s) is s and BellCoords.from_vector(x) is x
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from realtwoqubit import (
+    BellCoords,
     Circuit,
     Gate,
     OrbitMismatchError,
@@ -27,6 +28,7 @@ from realtwoqubit import (
     sign_residual,
     states_equal_up_to_sign,
     to_bell,
+    torus_angles,
 )
 
 PI4 = math.pi / 4.0
@@ -132,6 +134,19 @@ class TestLocalConnect:
             assert [g.kind for g in plan.circuit if g.kind != "x"] == ["ry"]
             assert plan.residual <= 1e-8
 
+    @pytest.mark.parametrize("sheet", ["V34", "V12"])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+    def test_near_circle_pairs_at_different_d_meet_tol(self, rng, tol, sheet):
+        # The one-Ry form leaves the small plane unmatched, radius sin d_s at the source and sin d_t at the target, so
+        # it misses by up to their sum: a test of the target's d alone would let it through with a source further out.
+        worst = 0.0
+        for _ in range(1000):
+            d_t = rng.uniform(0.5, 1.0) * math.asin(tol / 2.0)
+            d_s = rng.uniform(max(d_t - tol, 0.0), d_t + tol)
+            src, tgt = (parametrize(TorusPoint(d, *rng.uniform(0.0, TWO_PI, 2), sheet)) for d in (d_s, d_t))
+            worst = max(worst, cz_connect(src, tgt, tol).residual / tol)
+        assert worst <= 1.0
+
     def test_angles_normalized(self, rng):
         for _ in range(200):
             d = rng.uniform(0.0, PI4)
@@ -169,25 +184,38 @@ def test_connects_refuse_a_tol_that_is_not_positive_and_finite(connect, tol):
         connect(RealState(1, 0, 0, 0), RealState(0, 1, 0, 0), tol=tol)
 
 
+#: Every object-API function that reads a state, or Bell coordinates, with the noun of what it reads.
+READERS = [
+    pytest.param(classify, "amplitude", id="classify"),
+    pytest.param(entanglement_distance, "amplitude", id="entanglement_distance"),
+    pytest.param(torus_angles, "amplitude", id="torus_angles"),
+    pytest.param(to_bell, "amplitude", id="to_bell"),
+    pytest.param(lambda vec: apply(Circuit(), vec), "amplitude", id="apply"),
+    pytest.param(prepare, "amplitude", id="prepare"),
+    pytest.param(lambda vec: cz_connect(vec, ZERO), "amplitude", id="cz_connect-source"),
+    pytest.param(lambda vec: cz_connect(ZERO, vec), "amplitude", id="cz_connect-target"),
+    pytest.param(lambda vec: local_connect(vec, ZERO), "amplitude", id="local_connect-source"),
+    pytest.param(lambda vec: local_connect(ZERO, vec), "amplitude", id="local_connect-target"),
+    pytest.param(from_bell, "Bell coordinate", id="from_bell"),
+]
+
+
 @pytest.mark.parametrize(
     "vec", [(3.0, 4.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)], ids=["5", "0", "nan", "2"]
 )
-@pytest.mark.parametrize(
-    "call, noun",
-    [
-        pytest.param(classify, "amplitude", id="classify"),
-        pytest.param(to_bell, "amplitude", id="to_bell"),
-        pytest.param(prepare, "amplitude", id="prepare"),
-        pytest.param(lambda vec: cz_connect(vec, ZERO), "amplitude", id="cz_connect-source"),
-        pytest.param(lambda vec: cz_connect(ZERO, vec), "amplitude", id="cz_connect-target"),
-        pytest.param(lambda vec: local_connect(vec, ZERO), "amplitude", id="local_connect-source"),
-        pytest.param(from_bell, "Bell coordinate", id="from_bell"),
-    ],
-)
+@pytest.mark.parametrize("call, noun", READERS)
 def test_a_vector_that_is_not_a_state_is_refused_in_the_callers_terms(call, noun, vec):
     # Each error names the kind of vector the caller passed, not the one the function turns it into.
     with pytest.raises(ValueError, match=f"^{noun} (vector has norm|components must be finite)"):
         call(vec)
+
+
+@pytest.mark.parametrize("call, noun", READERS)
+def test_each_reader_refuses_the_other_record_class(call, noun):
+    # |10> is a product state and v3, the same four numbers as Bell coordinates, a maximally entangled one.
+    other = RealState(0, 0, 1, 0) if noun == "Bell coordinate" else BellCoords(0, 0, 1, 0)
+    with pytest.raises(ValueError, match=f"^expected {noun}s, got {re.escape(repr(other))}$"):
+        call(other)
 
 
 class TestCzConnect:
