@@ -6,18 +6,16 @@ module that defines it on first use (PEP 562).
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 #: The module that defines each public name.
 _HOME = {
     name: module
     for module, names in {
         "_core": "DEFAULT_TOL SHEET_BOTH SHEET_V12 SHEET_V34 OrbitMismatchError",
-        "_state": "concurrence sign_residual states_equal_up_to_sign",
         "_classify": "DEFAULT_CLASS_TOL GENERIC MAX_ENTANGLED PRODUCT entropy_from_concurrence",
-        "_synthesis": "preparation_angles",
         "_mesh": "mesh_to_csv mesh_to_json",
-        "states": "BellCoords RealState bell_basis_state from_bell to_bell",
+        "states": "BellCoords RealState bell_basis_state concurrence from_bell sign_residual to_bell",
         "geometry": "DegenerateAngleError MeshPoint OrbitClass TorusPoint classify "
         "entanglement_distance entropy_from_distance orbit_mesh parametrize sample_orbit_states torus_angles",
         "synthesis": "Circuit ConnectionPlan Gate apply cz_connect intersection_state local_connect prepare",

@@ -3,7 +3,7 @@
 import math
 
 from ._core import QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34
-from ._state import _distance, _to_bell, concurrence, on_v34_side
+from ._state import _concurrence, _distance, _to_bell, on_v34_side
 
 MAX_ENTANGLED = "max_entangled"
 GENERIC = "generic"
@@ -15,12 +15,12 @@ DEFAULT_CLASS_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
-def _classify(state, bell, class_tol: float = DEFAULT_CLASS_TOL) -> tuple[str, float, str]:
+def _classify(state, bell) -> tuple[str, float, str]:
     """(kind, d, sheet) of a state whose Bell coordinates are `bell`; see geometry.classify."""
     d = _distance(bell)
-    if d <= class_tol:
+    if d <= DEFAULT_CLASS_TOL:
         kind = MAX_ENTANGLED
-    elif abs(d - QUARTER_PI) <= class_tol:
+    elif abs(d - QUARTER_PI) <= DEFAULT_CLASS_TOL:
         return PRODUCT, d, SHEET_BOTH
     else:
         kind = GENERIC
@@ -47,7 +47,7 @@ def entropy_from_concurrence(c: float) -> float:
 def _classify_record(args, state: tuple) -> str:
     x1, x2, x3, x4 = bell = _to_bell(state)
     kind, d, sheet = _classify(state, bell)
-    c = concurrence(state)
+    c = _concurrence(state)
     # The entropy comes from C rather than d: near the product torus d has too few digits.
     return (
         f'{{"d": {d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{kind}", '

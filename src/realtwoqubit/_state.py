@@ -2,8 +2,6 @@
 
 import math
 
-from ._core import DEFAULT_TOL
-
 #: Construction renormalizes inputs whose norm deviates from 1 by less than
 #: this, and rejects anything worse.
 NORM_SLACK = 1e-6
@@ -40,7 +38,7 @@ def _minor(state) -> float:
     return w1 * w4 - w2 * w3
 
 
-def concurrence(state) -> float:
+def _concurrence(state) -> float:
     """2|w1*w4 - w2*w3|: 0 for product states, 1 for maximally entangled ones."""
     return 2.0 * abs(_minor(state))
 
@@ -54,16 +52,11 @@ def on_v34_side(state) -> bool:
     return _minor(state) >= 0.0
 
 
-def sign_residual(a, b) -> float:
+def _sign_residual(a, b) -> float:
     """min(||a - b||, ||a + b||), the distance between states ignoring the global sign."""
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
     return min(math.hypot(a1 - b1, a2 - b2, a3 - b3, a4 - b4), math.hypot(a1 + b1, a2 + b2, a3 + b3, a4 + b4))
-
-
-def states_equal_up_to_sign(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True when a equals b or -b within tol."""
-    return sign_residual(a, b) <= tol
 
 
 def _distance(bell) -> float:

@@ -3,7 +3,7 @@
 import math
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, TWO_PI, OrbitMismatchError
-from ._state import _BELL_NOUN, _chart, _from_bell, _unit, on_v34_side, sign_residual, states_equal_up_to_sign
+from ._state import _BELL_NOUN, _chart, _from_bell, _sign_residual, _unit, on_v34_side
 
 _CZ = ("cz", None, None)
 _X0 = ("x", 0, None)
@@ -40,7 +40,7 @@ def _wrap_angle(theta: float) -> float:
 
 def residual(circuit, source, target) -> float:
     """min(||out - target||, ||out + target||) for out the circuit's output on source."""
-    return sign_residual(_apply(circuit, source), target)
+    return _sign_residual(_apply(circuit, source), target)
 
 
 def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -> tuple:
@@ -49,7 +49,7 @@ def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -
     The orbit is taken to be the target's: d is not compared, since with a
     tiny tol rounding alone parts the two computed d by more than tol.
     """
-    if states_equal_up_to_sign(source, target, tol):
+    if _sign_residual(source, target) <= tol:
         return ()
     prefix = ()
     v34 = on_v34_side(target)
@@ -101,8 +101,8 @@ def _connect(source, target, tol: float, local_only: bool = False) -> tuple:
     return gates, mid, residual(gates, source, target)
 
 
-def preparation_angles(target) -> tuple[float, float, float]:
-    """Angles (t1, t0, t2) of the preparation template.
+def _prepare(target) -> tuple:
+    """The preparation template RY(q0, t1), RY(q1, t0), CZ, RY(q1, t2) for the target.
 
     t3 = Arg(w1 + i w2) and t4 = Arg(w3 + i w4) place each amplitude pair on its circle;
     t1 = 2 arccos(sqrt(w1^2 + w2^2)) splits the weight between the pairs, evaluated as
@@ -114,12 +114,7 @@ def preparation_angles(target) -> tuple[float, float, float]:
     # Adding 0.0 turns -0.0 into 0.0 and changes no other float, so atan2 never reads the sign of a zero: Arg(0 + 0i) is 0.
     t3, t4 = math.atan2(w2 + 0.0, w1 + 0.0), math.atan2(w4 + 0.0, w3 + 0.0)
     t1 = 2.0 * math.atan2(math.hypot(w3, w4), math.hypot(w1, w2))
-    return t1, _wrap_angle(t3 - t4), _wrap_angle(t3 + t4)
-
-
-def _prepare(target) -> tuple:
-    t1, t0, t2 = preparation_angles(target)
-    return ("ry", 0, t1), ("ry", 1, t0), _CZ, ("ry", 1, t2)
+    return ("ry", 0, t1), ("ry", 1, _wrap_angle(t3 - t4)), _CZ, ("ry", 1, _wrap_angle(t3 + t4))
 
 
 #: The JSON of each gate without an angle that _prepare and _connect emit: only those are looked up, so no angle is hashed.

@@ -84,16 +84,17 @@ def entanglement_distance(state: RealState) -> float:
     return _distance(_to_bell(RealState.from_vector(state)))
 
 
-def classify(state: RealState, class_tol: float = DEFAULT_CLASS_TOL) -> OrbitClass:
+def classify(state: RealState) -> OrbitClass:
     """Orbit class of a state.
 
-    d <= class_tol is maximally entangled, |d - pi/4| <= class_tol is product
-    (sheet BOTH, the two sheets coincide there), anything else is generic.
+    d <= DEFAULT_CLASS_TOL is maximally entangled, |d - pi/4| <=
+    DEFAULT_CLASS_TOL is product (sheet BOTH, the two sheets coincide there),
+    anything else is generic.
     The sheet comes from the sign of w1*w4 - w2*w3: V34 when it is positive
     or zero, V12 when negative.
     """
     state = RealState.from_vector(state)
-    return OrbitClass(*_classify(state, _to_bell(state), class_tol))
+    return OrbitClass(*_classify(state, _to_bell(state)))
 
 
 def entropy_from_distance(d: float) -> float:

@@ -8,15 +8,16 @@ A state is a unit vector (w1, w2, w3, w4) of amplitudes for |00>, |01>, |10>,
 
 an orthonormal basis of the real span, so the coordinate change is the
 orthogonal matrix with these rows.  States that differ only by a global sign
-are physically identical; nothing here canonicalizes the sign, and the
-equality predicate compares up to +-1 explicitly.
+are physically identical; nothing here canonicalizes the sign, and
+`sign_residual` measures the distance between two states up to +-1.
 
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
-circuit.  `_unit`, the Bell change, the concurrence and the sheet sign live
-in the core's `_state` part; this module makes RealState and BellCoords the
-same 4-tuples as named tuples, and `_checked_dict` checks the dict every
-loader reads.  Every object-API function reads its states through
+circuit.  `_unit`, the Bell change, the concurrence, the sign residual and
+the sheet sign live in the core's `_state` part; this module makes RealState
+and BellCoords the same 4-tuples as named tuples, and `_checked_dict` checks
+the dict every loader reads.  Every object-API function that reads a state,
+`concurrence` and `sign_residual` here included, reads it through
 `from_vector`, which passes a record of its class as it is, refuses the other
 record class and checks anything else; the functions that return one wrap
 the core's tuple without checking it again.
@@ -25,7 +26,7 @@ the core's tuple without checking it again.
 from collections import namedtuple
 
 from ._core import _integer, _number
-from ._state import _BELL_NOUN, _from_bell, _to_bell, _unit
+from ._state import _BELL_NOUN, _concurrence, _from_bell, _sign_residual, _to_bell, _unit
 
 
 def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
@@ -125,6 +126,16 @@ def from_bell(coords: BellCoords) -> RealState:
     w3 = (x2 - x4)/sqrt(2), w4 = (x3 - x1)/sqrt(2).
     """
     return RealState._wrap(_from_bell(BellCoords.from_vector(coords)))
+
+
+def concurrence(state: RealState) -> float:
+    """2|w1*w4 - w2*w3|: 0 for product states, 1 for maximally entangled ones."""
+    return _concurrence(RealState.from_vector(state))
+
+
+def sign_residual(a: RealState, b: RealState) -> float:
+    """min(||a - b||, ||a + b||), the distance between two states ignoring the global sign."""
+    return _sign_residual(*map(RealState.from_vector, (a, b)))
 
 
 def bell_basis_state(index: int) -> RealState:

@@ -2,7 +2,7 @@
 
 Gates are plain value objects; `apply` runs them.  Inside the package a gate
 is the tuple (kind, qubit, angle) and a state the 4-tuple of its amplitudes:
-the gate action, the solvers, the preparation angles and the residual work on
+the gate action, the solvers, the preparation and the residual work on
 them in `_synthesis`.  A Gate is that tuple as a named tuple and a Circuit a
 tuple of Gates, so code that reads gates takes either form; the functions
 below wrap the core's results in Gate, Circuit, RealState and ConnectionPlan,
@@ -39,7 +39,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from ._core import DEFAULT_TOL, _checked_tol, _integer, _number
+from ._core import DEFAULT_TOL, _checked_distance, _checked_tol, _integer, _number
 from ._synthesis import _apply, _connect, _intersection, _inverse, _prepare
 from .states import RealState, _checked_dict
 
@@ -68,18 +68,6 @@ class Gate(namedtuple("Gate", "kind qubit angle", defaults=(None, None))):
             angle = value
         return tuple.__new__(cls, (kind, _integer(qubit), angle))  # cz's None stays None
 
-    @classmethod
-    def ry(cls, qubit: int, angle: float) -> "Gate":
-        return cls("ry", qubit, angle)
-
-    @classmethod
-    def x(cls, qubit: int) -> "Gate":
-        return cls("x", qubit)
-
-    @classmethod
-    def cz(cls) -> "Gate":
-        return cls("cz")
-
     def inverse(self) -> "Gate":
         return Gate(*_inverse(self))
 
@@ -104,12 +92,8 @@ class Circuit(tuple):
                 raise ValueError(f"circuit entries must be Gate, got {g!r}")
         return tuple.__new__(cls, gates)
 
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
-        return f"Circuit(gates={self.gates!r})"
+        return f"Circuit(gates={tuple(self)!r})"
 
     def inverse(self) -> "Circuit":
         return Circuit(g.inverse() for g in reversed(self))
@@ -192,12 +176,12 @@ def local_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL
 def intersection_state(d0: float, d1: float) -> RealState:
     """The state where the CZ image of the d0 torus meets the d1 torus.
 
-    Requires pi/4 >= d0 > d1 >= 0.  Bell coordinates
+    Requires numbers pi/4 >= d0 > d1 >= 0.  Bell coordinates
     (0, sin d1, sqrt(sin^2 d0 - sin^2 d1), cos d0) satisfy all four quadrics:
     x2^2 + x3^2 = sin^2 d0, x1^2 + x4^2 = cos^2 d0 (CZ image of the d0 torus)
     and x1^2 + x2^2 = sin^2 d1, x3^2 + x4^2 = cos^2 d1 (the d1 torus).
     """
-    return RealState._wrap(_intersection(d0, d1))
+    return RealState._wrap(_intersection(_checked_distance(d0), _checked_distance(d1)))
 
 
 def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -> ConnectionPlan:

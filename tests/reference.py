@@ -79,7 +79,7 @@ def entanglement_entropy(state: RealState) -> float:
 
 def orbit_surface(state: RealState, s: float, t: float) -> RealState:
     """(Ry(2s) x Ry(2t)) |state|: the local-rotation surface through the state."""
-    return apply(Circuit((Gate.ry(0, 2.0 * s), Gate.ry(1, 2.0 * t))), state)
+    return apply(Circuit((Gate("ry", 0, 2.0 * s), Gate("ry", 1, 2.0 * t))), state)
 
 
 def surface_gram_det(state: RealState, s: float, t: float) -> float:

@@ -83,9 +83,9 @@ class TestDistance:
             gates = []
             for _ in range(rng.integers(1, 10)):
                 if rng.random() < 0.3:
-                    gates.append(Gate.x(int(rng.integers(0, 2))))
+                    gates.append(Gate("x", int(rng.integers(0, 2))))
                 else:
-                    gates.append(Gate.ry(int(rng.integers(0, 2)), float(rng.uniform(-6, 6))))
+                    gates.append(Gate("ry", int(rng.integers(0, 2)), float(rng.uniform(-6, 6))))
             moved = apply(Circuit(tuple(gates)), s)
             assert abs(entanglement_distance(moved) - entanglement_distance(s)) < 1e-10
 
@@ -123,25 +123,21 @@ class TestClassify:
             delta = s.w1 * s.w4 - s.w2 * s.w3
             assert (delta > 0) == (sheet == "V34")
 
-    def test_sheet_agrees_with_torus_angles(self, rng):
+    def test_sheet_agrees_with_torus_angles(self, rng, monkeypatch):
         # Product states: w1*w4 - w2*w3 often rounds to exactly 0 while the
-        # computed d misses pi/4, so class_tol = 0 calls them generic.
+        # computed d misses pi/4, so a class tolerance of 0 calls them generic.
+        monkeypatch.setattr("realtwoqubit._classify.DEFAULT_CLASS_TOL", 0.0)
         states = [RealState(0.13742099868349344, -0.08208131572632066, 0.8474448095753379, -0.5061772628766396)]
         for a, b in rng.uniform(0.0, TWO_PI, size=(2000, 2)):
             ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
             states.append(RealState(ca * cb, ca * sb, sa * cb, sa * sb))
-        generic = [s for s in states if classify(s, class_tol=0.0).kind == "generic"]
+        generic = [s for s in states if classify(s).kind == "generic"]
         assert len(generic) > 1
         for s in generic:
-            assert classify(s, class_tol=0.0).sheet == torus_angles(s).sheet, s
-
-    def test_class_tol_widens_boundaries(self):
-        s = parametrize(TorusPoint(PI4 - 1e-6, 0.3, 0.9, "V34"))
-        assert classify(s).kind == "generic"
-        assert classify(s, class_tol=1e-5).kind == "product"
+            assert classify(s).sheet == torus_angles(s).sheet, s
 
     def test_sheet_swap_under_x(self, rng):
-        flip = Circuit((Gate.x(0),))
+        flip = Circuit((Gate("x", 0),))
         for _ in range(200):
             d = rng.uniform(1e-3, PI4 - 1e-3)
             sheet = "V34" if rng.random() < 0.5 else "V12"

@@ -51,6 +51,11 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[name] is getattr(realtwoqubit, name) for name in realtwoqubit.__all__)
 
 
+def test_no_public_name_is_an_unchecked_core_function():
+    # _state and _synthesis read plain tuples unchecked; a public name reads its states through from_vector.
+    assert sorted(name for name, home in realtwoqubit._HOME.items() if home in ("_state", "_synthesis")) == []
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         realtwoqubit.frobnicate

@@ -24,12 +24,12 @@ from realtwoqubit import (
     entanglement_distance,
     entropy_from_distance,
     from_bell,
+    intersection_state,
     orbit_mesh,
     parametrize,
     prepare,
     sample_orbit_states,
     sign_residual,
-    states_equal_up_to_sign,
     to_bell,
     torus_angles,
 )
@@ -125,6 +125,8 @@ class TestConstruction:
         pytest.param(lambda: entropy_from_distance("0.3"), id="entropy-d-text"),
         pytest.param(lambda: orbit_mesh("0.3", 2, 2), id="mesh-d-text"),
         pytest.param(lambda: parametrize(TorusPoint("0.3", 0.0, 0.0, "V34")), id="parametrize-d-text"),
+        pytest.param(lambda: intersection_state("0.5", 0.2), id="intersection-d0-text"),
+        pytest.param(lambda: intersection_state(0.5, "0.2"), id="intersection-d1-text"),
         pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol="1e-3"), id="tol-text"),
         pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol=None), id="tol-None"),
         pytest.param(lambda: cz_connect(bell_basis_state(1), bell_basis_state(3), tol=True), id="tol-True"),
@@ -154,7 +156,7 @@ def test_one_integer_rule(call, error):
 
 def test_a_gate_keeps_its_qubit_as_an_int():
     gate = Gate("x", np.int64(1))
-    assert type(gate.qubit) is int and gate == Gate.x(1)
+    assert type(gate.qubit) is int and gate == Gate("x", 1)
 
 
 class TestBellBasis:
@@ -216,18 +218,18 @@ class TestSignBlindEquality:
     def test_equal_and_negated(self, rng):
         s = _random_state(rng)
         neg = RealState.from_vector(-np.array(s))
-        assert states_equal_up_to_sign(s, s)
-        assert states_equal_up_to_sign(s, neg)
+        assert sign_residual(s, s) <= 1e-10
+        assert sign_residual(s, neg) <= 1e-10
         assert sign_residual(s, neg) < 1e-15
 
     def test_distinct_states_detected(self):
-        assert not states_equal_up_to_sign(RealState(1, 0, 0, 0), RealState(0, 1, 0, 0))
+        assert not sign_residual(RealState(1, 0, 0, 0), RealState(0, 1, 0, 0)) <= 1e-10
 
     def test_tolerance_respected(self):
         a = RealState(1.0, 0.0, 0.0, 0.0)
         b = RealState.from_vector(np.array([math.cos(1e-6), math.sin(1e-6), 0.0, 0.0]))
-        assert not states_equal_up_to_sign(a, b, tol=1e-10)
-        assert states_equal_up_to_sign(a, b, tol=1e-4)
+        assert not sign_residual(a, b) <= 1e-10
+        assert sign_residual(a, b) <= 1e-4
 
     def test_no_silent_canonicalization(self):
         s = RealState(-1.0, 0.0, 0.0, 0.0)
@@ -272,7 +274,7 @@ def _records(rng):
     return [
         s,
         to_bell(s),
-        Gate.ry(1, rng.uniform(-4.0, 4.0)),
+        Gate("ry", 1, rng.uniform(-4.0, 4.0)),
         prepare(s),
         classify(s),
         torus_angles(s),
@@ -295,7 +297,7 @@ class TestRecords:
         [
             lambda: RealState._make((5, 0, 0, 0)),
             lambda: RealState(1, 0, 0, 0)._replace(w1=5.0),
-            lambda: Gate.cz()._replace(qubit=0),
+            lambda: Gate("cz")._replace(qubit=0),
         ],
     )
     def test_make_and_replace_check_like_the_constructor(self, make):

@@ -16,17 +16,16 @@ from realtwoqubit import (
     apply,
     bell_basis_state,
     classify,
+    concurrence,
     cz_connect,
     entanglement_distance,
     from_bell,
     intersection_state,
     local_connect,
     parametrize,
-    preparation_angles,
     prepare,
     sample_orbit_states,
     sign_residual,
-    states_equal_up_to_sign,
     to_bell,
     torus_angles,
 )
@@ -39,6 +38,11 @@ ZERO = RealState(1.0, 0.0, 0.0, 0.0)
 def _random_state(rng):
     vec = rng.normal(size=4)
     return RealState.from_vector(vec / np.linalg.norm(vec))
+
+
+def _preparation_angles(target):
+    # (t1, t0, t2): the angles of prepare's Ry gates, in circuit order.
+    return tuple(g.angle for g in prepare(target) if g.kind == "ry")
 
 
 def _wrap_diff(a, b):
@@ -76,9 +80,9 @@ class TestLocalConnect:
         tgt = parametrize(TorusPoint(math.pi / 6, 1.0, -0.5, "V34"))
         plan = local_connect(src, tgt)
         assert [g.kind for g in plan.circuit] == ["ry", "ry"]
-        s = plan.circuit.gates[0].angle / 2.0
-        t = plan.circuit.gates[1].angle / 2.0
-        assert plan.circuit.gates[0].qubit == 0 and plan.circuit.gates[1].qubit == 1
+        s = plan.circuit[0].angle / 2.0
+        t = plan.circuit[1].angle / 2.0
+        assert plan.circuit[0].qubit == 0 and plan.circuit[1].qubit == 1
         assert _wrap_diff(s + t, 0.8) < 1e-12
         assert _wrap_diff(t - s, -0.9) < 1e-12
         assert plan.residual < 1e-10
@@ -93,8 +97,8 @@ class TestLocalConnect:
         src = parametrize(TorusPoint(d, 0.5, 1.0, "V34"))
         tgt = parametrize(TorusPoint(d, -0.7, 2.1, "V12"))
         plan = local_connect(src, tgt)
-        assert plan.circuit.gates[0].kind == "x"
-        assert plan.circuit.gates[0].qubit == 0
+        assert plan.circuit[0].kind == "x"
+        assert plan.circuit[0].qubit == 0
         assert plan.residual < 1e-10
 
     def test_same_sheet_never_uses_x(self, rng):
@@ -116,7 +120,7 @@ class TestLocalConnect:
                 _assert_local_shape(plan.circuit)
                 assert plan.cz_count == 0
                 assert plan.residual < 1e-10
-                assert states_equal_up_to_sign(apply(plan.circuit, src), tgt, 1e-10)
+                assert sign_residual(apply(plan.circuit, src), tgt) <= 1e-10
 
     def test_near_circle_meets_tol(self, rng):
         # At d = 1e-9 the one-Ry circle form would miss by about 2 sin d =
@@ -190,6 +194,9 @@ READERS = [
     pytest.param(entanglement_distance, "amplitude", id="entanglement_distance"),
     pytest.param(torus_angles, "amplitude", id="torus_angles"),
     pytest.param(to_bell, "amplitude", id="to_bell"),
+    pytest.param(concurrence, "amplitude", id="concurrence"),
+    pytest.param(lambda vec: sign_residual(vec, ZERO), "amplitude", id="sign_residual-first"),
+    pytest.param(lambda vec: sign_residual(ZERO, vec), "amplitude", id="sign_residual-second"),
     pytest.param(lambda vec: apply(Circuit(), vec), "amplitude", id="apply"),
     pytest.param(prepare, "amplitude", id="prepare"),
     pytest.param(lambda vec: cz_connect(vec, ZERO), "amplitude", id="cz_connect-source"),
@@ -227,7 +234,7 @@ class TestCzConnect:
         np.testing.assert_allclose(np.array(x), [0.0, 0.0, math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
         np.testing.assert_allclose(np.array(plan.intermediate), [0.5, 0.5, -0.5, 0.5], atol=1e-12)
         # the CZ preimage of the intermediate is a product state
-        mid_cz = apply(Circuit((Gate.cz(),)), plan.intermediate)
+        mid_cz = apply(Circuit((Gate("cz"),)), plan.intermediate)
         np.testing.assert_allclose(np.array(mid_cz), [0.5, 0.5, -0.5, -0.5], atol=1e-12)
         assert classify(mid_cz).kind == "product"
         assert plan.residual < 1e-9
@@ -304,19 +311,19 @@ class TestCzConnect:
 
 class TestPrepare:
     def test_zero_state_identity_angles(self):
-        t1, t0, t2 = preparation_angles(ZERO)
+        t1, t0, t2 = _preparation_angles(ZERO)
         assert (t1, t0, t2) == (0.0, 0.0, 0.0)
         circ = prepare(ZERO)
         assert sign_residual(apply(circ, ZERO), ZERO) < 1e-15
 
     def test_bell_v3_angles(self):
-        t1, t0, t2 = preparation_angles(bell_basis_state(3))
+        t1, t0, t2 = _preparation_angles(bell_basis_state(3))
         assert t1 == pytest.approx(math.pi / 2, abs=1e-12)
         assert t0 == pytest.approx(-math.pi / 2, abs=1e-12)
         assert t2 == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_uniform_superposition_angle(self):
-        t1, _, _ = preparation_angles(RealState(0.5, 0.5, 0.5, 0.5))
+        t1, _, _ = _preparation_angles(RealState(0.5, 0.5, 0.5, 0.5))
         assert t1 == pytest.approx(math.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -365,10 +372,10 @@ class TestPrepare:
         # t0 / CZ / t2 chain.  The simulator admits exactly one.
         def layouts(t1, t0, t2):
             return {
-                "t1q0_chain_q1": Circuit((Gate.ry(0, t1), Gate.ry(1, t0), Gate.cz(), Gate.ry(1, t2))),
-                "t1q1_chain_q0": Circuit((Gate.ry(1, t1), Gate.ry(0, t0), Gate.cz(), Gate.ry(0, t2))),
-                "t1q0_post_q0": Circuit((Gate.ry(0, t1), Gate.ry(1, t0), Gate.cz(), Gate.ry(0, t2))),
-                "t1q1_post_q1": Circuit((Gate.ry(1, t1), Gate.ry(0, t0), Gate.cz(), Gate.ry(1, t2))),
+                "t1q0_chain_q1": Circuit((Gate("ry", 0, t1), Gate("ry", 1, t0), Gate("cz"), Gate("ry", 1, t2))),
+                "t1q1_chain_q0": Circuit((Gate("ry", 1, t1), Gate("ry", 0, t0), Gate("cz"), Gate("ry", 0, t2))),
+                "t1q0_post_q0": Circuit((Gate("ry", 0, t1), Gate("ry", 1, t0), Gate("cz"), Gate("ry", 0, t2))),
+                "t1q1_post_q1": Circuit((Gate("ry", 1, t1), Gate("ry", 0, t0), Gate("cz"), Gate("ry", 1, t2))),
             }
 
         passing = None
@@ -378,7 +385,7 @@ class TestPrepare:
             for _ in range(60):
                 vec = batch_rng.normal(size=4)
                 target = RealState.from_vector(vec / np.linalg.norm(vec))
-                circ = layouts(*preparation_angles(target))[name]
+                circ = layouts(*_preparation_angles(target))[name]
                 if sign_residual(apply(circ, ZERO), target) > 1e-9:
                     ok = False
                     break
@@ -410,8 +417,8 @@ class TestWrappedResults:
             self._assert_unit([x.x1, x.x2, x.x3, x.x4])
             w = from_bell(x)
             self._assert_unit([w.w1, w.w2, w.w3, w.w4])
-            gates = [Gate.ry(int(q), float(a)) for q, a in zip(rng.integers(0, 2, 3), rng.uniform(-7, 7, 3))]
-            out = apply(Circuit((*gates, Gate.x(int(rng.integers(0, 2))), Gate.cz())), s)
+            gates = [Gate("ry", int(q), float(a)) for q, a in zip(rng.integers(0, 2, 3), rng.uniform(-7, 7, 3))]
+            out = apply(Circuit((*gates, Gate("x", int(rng.integers(0, 2))), Gate("cz"))), s)
             self._assert_unit([out.w1, out.w2, out.w3, out.w4])
             d_s, d_t = entanglement_distance(s), entanglement_distance(t)
             if d_s != d_t:
