@@ -274,6 +274,20 @@ class TestConnect:
 MESH_GOLDEN = [json.loads(line) for line in (Path(__file__).parent / "mesh_golden.jsonl").read_text().splitlines()]
 
 
+def _sorted_digest(out: str, fmt: str) -> str:
+    """sha256 of the mesh text with its points sorted, which no walk order changes.
+
+    CSV: the header, then the sorted data lines.  JSON: d, then each point's json.dumps, sorted.  Parted by newlines.
+    """
+    if fmt == "csv":
+        header, *lines = out.splitlines()
+        parts = [header, *sorted(lines)]
+    else:
+        data = json.loads(out)
+        parts = [json.dumps(data["d"]), *sorted(map(json.dumps, data["points"]))]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
 class TestMesh:
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mesh", "--d", "0", "--na", "4", "--nb", "8", "--format", "csv")
@@ -323,6 +337,7 @@ class TestMesh:
         code, out, _ = run_cli(capsys, "mesh", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+        assert _sorted_digest(out, case["format"]) == case["sorted_sha256"]
 
     @pytest.mark.parametrize("d", ["-1e-13", "0.7853981633974484"])
     def test_json_d_is_the_csv_d(self, d, capsys):
