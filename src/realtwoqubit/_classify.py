@@ -2,7 +2,7 @@
 
 import math
 
-from ._core import QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34
+from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, _number
 from ._state import _concurrence, _distance, _to_bell, on_v34_side
 
 MAX_ENTANGLED = "max_entangled"
@@ -34,9 +34,16 @@ def entropy_from_concurrence(c: float) -> float:
     (1998)).  The smaller probability is formed as
     1 - p = c^2 / (2 (1 + sqrt(1 - c^2))) and its complement's logarithm with
     log1p, so nothing cancels near the product torus, where the entropy is
-    tiny; the 0*log2(0) limit at c = 0 is taken as 0.  Inputs are clamped to
-    [0, 1], absorbing the rounding of a computed concurrence.
+    tiny; the 0*log2(0) limit at c = 0 is taken as 0.  A number within
+    _DOMAIN_SLACK of [0, 1] is clamped into it; nan or anything else raises ValueError.
     """
+    if (value := _number(c)) is None or not -_DOMAIN_SLACK <= value <= 1.0 + _DOMAIN_SLACK:
+        raise ValueError(f"concurrence must be a number in [0, 1], got {c!r}")
+    return _entropy(value)
+
+
+def _entropy(c: float) -> float:
+    # entropy_from_concurrence unchecked, for a concurrence the package computed: its rounding is clamped away.
     c = min(max(c, 0.0), 1.0)
     q = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
     if q == 0.0:
@@ -50,6 +57,6 @@ def _classify_record(args, state: tuple) -> str:
     c = _concurrence(state)
     # The entropy comes from C rather than d: near the product torus d has too few digits.
     return (
-        f'{{"d": {d!r}, "entropy": {entropy_from_concurrence(c)!r}, "class": "{kind}", '
+        f'{{"d": {d!r}, "entropy": {_entropy(c)!r}, "class": "{kind}", '
         f'"sheet": "{sheet}", "bell": [{x1!r}, {x2!r}, {x3!r}, {x4!r}], "concurrence": {c!r}}}\n'
     )

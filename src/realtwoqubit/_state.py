@@ -8,7 +8,6 @@ NORM_SLACK = 1e-6
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-_BELL_NOUN = "Bell coordinate"
 
 def _unit(a: float, b: float, c: float, d: float, noun: str = "amplitude") -> tuple[float, float, float, float]:
     """The one validation of a 4-vector: finite, norm within NORM_SLACK of 1, divided by its norm."""

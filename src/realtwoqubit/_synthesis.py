@@ -3,7 +3,7 @@
 import math
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, TWO_PI, OrbitMismatchError
-from ._state import _BELL_NOUN, _chart, _from_bell, _sign_residual, _unit, on_v34_side
+from ._state import _chart, _from_bell, _sign_residual, _unit, on_v34_side
 
 _CZ = ("cz", None, None)
 _X0 = ("x", 0, None)
@@ -77,7 +77,7 @@ def _intersection(d0: float, d1: float) -> tuple:
     if not (0.0 <= d1 < d0 <= QUARTER_PI + _DOMAIN_SLACK):
         raise ValueError(f"need pi/4 >= d0 > d1 >= 0, got d0 = {d0!r}, d1 = {d1!r}")
     s0, s1 = math.sin(d0), math.sin(d1)
-    return _from_bell(_unit(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0), _BELL_NOUN))
+    return _from_bell(_unit(0.0, s1, math.sqrt(max(s0 * s0 - s1 * s1, 0.0)), math.cos(d0)))
 
 
 def _connect(source, target, tol: float, local_only: bool = False) -> tuple:

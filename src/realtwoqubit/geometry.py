@@ -26,11 +26,9 @@ the sampling of an orbit, with the `sample` subcommand.
 """
 
 import math
-from functools import partial, reduce
-from operator import add
 from typing import NamedTuple
 
-from ._classify import DEFAULT_CLASS_TOL, _classify, entropy_from_concurrence
+from ._classify import DEFAULT_CLASS_TOL, _classify, _entropy
 from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 from ._mesh import _checked_grid, _mesh_rows
 from ._state import _chart, _distance, _to_bell, on_v34_side
@@ -112,7 +110,7 @@ def entropy_from_distance(d: float) -> float:
     ValueError outside [0, pi/4].
     """
     d = _checked_distance(d)
-    return entropy_from_concurrence(math.sin(2.0 * (QUARTER_PI - d)))
+    return _entropy(math.sin(2.0 * (QUARTER_PI - d)))
 
 
 def torus_angles(state: RealState) -> TorusPoint:
@@ -153,15 +151,15 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     (u1, u2, u3) = (x1, x2, x3).  Generic d samples both sheets on an
     n_a x n_b angle grid, point (a, b) on the V34 sheet followed by its
     mirror on V12; d = pi/4 emits the single product torus; d = 0 emits the
-    circle pair, where the circle lying in the x4 = 0 plane survives whole
-    and the other is halved.
+    circle pair as the a = 0 row of a torus of radii 0 and 1, where the
+    circle lying in the x4 = 0 plane survives whole and the other is halved:
+    each upper angle's V34 point then its V12 mirror, then the V12 points of
+    the lower angles.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
-    # The walk in tuples: a run's columns, added entry by entry, are its pieces, and each left + piece + right is the
-    # five fields of one point, or of two in turn.
+    # The walk in tuples: each left + entry + right of a run is the five fields of one point, or of two in turn.
     rows = _mesh_rows(d, n_a, n_b, lambda x: (x,), (), (), lambda sheet: (d, sheet), ())
-    runs = ((left, reduce(partial(map, add), columns), right) for row in rows for left, columns, right in row)
-    fields = (x for left, pieces, right in runs for piece in pieces for x in left + piece + right)
+    fields = (x for row in rows for left, column, right in row for entry in column for x in left + entry + right)
     return list(map(MeshPoint, *[fields] * 5))
 
 

@@ -26,7 +26,7 @@ the core's tuple without checking it again.
 from collections import namedtuple
 
 from ._core import _integer, _number
-from ._state import _BELL_NOUN, _concurrence, _from_bell, _sign_residual, _to_bell, _unit
+from ._state import _concurrence, _from_bell, _sign_residual, _to_bell, _unit
 
 
 def _checked_dict(data, name: str, keys: tuple, optional: tuple = ()) -> dict:
@@ -107,7 +107,7 @@ class BellCoords(_UnitVector, namedtuple("BellCoords", "x1 x2 x3 x4")):
 
     __slots__ = ()
     _key = "x"
-    _noun = _BELL_NOUN
+    _noun = "Bell coordinate"
 
 
 def to_bell(state: RealState) -> BellCoords:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import select
 import subprocess
 import sys
@@ -173,6 +174,27 @@ class TestClassifyEntropyNearProductTorus:
     def test_extremes_exact(self):
         assert entropy_from_concurrence(0.0) == entropy_from_distance(math.pi / 4) == 0.0
         assert entropy_from_concurrence(1.0) == entropy_from_distance(0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "c, expected",
+        [
+            (math.nan, "concurrence must be a number in [0, 1], got nan"),
+            ("0.5", "concurrence must be a number in [0, 1], got '0.5'"),
+            (True, "concurrence must be a number in [0, 1], got True"),
+            (-1.0, "concurrence must be a number in [0, 1], got -1.0"),
+            (5.0, "concurrence must be a number in [0, 1], got 5.0"),
+            (1 + 1e-13, 1.0),
+            (0.0, 0.0),
+            (1.0, 1.0),
+        ],
+    )
+    def test_concurrence_is_read_by_the_number_rule(self, c, expected):
+        # A number within 1e-12 of [0, 1] is clamped into it; nan, a number beyond it and a non-number are refused.
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                entropy_from_concurrence(c)
+        else:
+            assert entropy_from_concurrence(c) == expected
 
 
 class TestPrepare:

@@ -377,11 +377,10 @@ def _per_point_mesh(d, n_a, n_b):
     """
     grid_a = [(TWO_PI * i / n_a, 2 * i <= n_a) for i in range(n_a)]
     grid_b = [(TWO_PI * j / n_b, 2 * j <= n_b) for j in range(n_b)]
-    if d <= 1e-12:
-        return [(0.0, 0.0, math.cos(t), d, "V34") for t, upper in grid_b if upper] + [
-            (math.cos(t), math.sin(t), 0.0, d, "V12") for t, _ in grid_b
-        ]
     sd, cd = math.sin(d), math.cos(d)
+    if d <= 1e-12:
+        # The circle pair is the a = 0 row of the torus of radii 0 and 1.
+        grid_a, sd, cd = grid_a[:1], 0.0, 1.0
     points = []
     for a, a_upper in grid_a:
         for b, b_upper in grid_b:
@@ -412,33 +411,47 @@ class TestMeshWriters:
         assert "".join(mesh_to_json(d, n_a, n_b)) == json.dumps(data) + "\n"
 
     def test_writers_keep_signed_zeros(self):
-        # The d = -0.0 circle pair: the d column and "d" keep their sign, the circle zeros stay 0.0.
+        # The d = -0.0 circle pair: the d column and "d" keep their sign, the circle zeros stay 0.0.  Both angles are
+        # upper, so each V34 point is followed by its V12 mirror.
         circle = [(1.0, 0.0), (-1.0, 1.2246467991473532e-16)]
-        rows = ["0.0,0.0,1.0,-0.0,V34", "0.0,0.0,-1.0,-0.0,V34"] + [f"{c!r},{s!r},0.0,-0.0,V12" for c, s in circle]
+        rows = [row for c, s in circle for row in (f"0.0,0.0,{c!r},-0.0,V34", f"{c!r},{s!r},0.0,-0.0,V12")]
         assert "".join(mesh_to_csv(-0.0, 2, 2)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
-        points = [{"u": [0.0, 0.0, 1.0], "sheet": "V34"}, {"u": [0.0, 0.0, -1.0], "sheet": "V34"}]
-        points += [{"u": [c, s, 0.0], "sheet": "V12"} for c, s in circle]
+        pairs = [({"u": [0.0, 0.0, c], "sheet": "V34"}, {"u": [c, s, 0.0], "sheet": "V12"}) for c, s in circle]
+        points = [point for pair in pairs for point in pair]
         assert "".join(mesh_to_json(-0.0, 2, 2)) == json.dumps({"d": -0.0, "points": points}) + "\n"
+
+    def test_circle_pair_order(self):
+        # The circle pair comes out as an upper-`a` torus row: each upper angle's V34 point then its V12 mirror, then
+        # the V12 points of the lower angles; n_a plays no part.
+        t = [TWO_PI * j / 5 for j in range(5)]
+        v34 = [(0.0, 0.0, math.cos(b), 0.0, "V34") for b in t[:3]]
+        v12 = [(math.cos(b), math.sin(b), 0.0, 0.0, "V12") for b in t]
+        want = [v34[0], v12[0], v34[1], v12[1], v34[2], v12[2], v12[3], v12[4]]
+        assert orbit_mesh(0.0, 3, 5) == orbit_mesh(0.0, 2, 5) == want
 
 
 class TestCircleChunks:
     def test_no_circle_row_exceeds_the_chunk(self):
-        # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b.
-        from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows
+        # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b: no text holds
+        # more than 512 points, and no table more than a chunk of entries.
+        from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows, _row_texts
 
-        rows = list(_mesh_rows(0.0, 2, 65536, repr, "", ",", str, ""))
-        assert all(rows) and all(columns[0] for row in rows for _, columns, _ in row)
-        # On the circles a run's column entry is one point.
-        points = [sum(len(columns[0]) for _, columns, _ in row) for row in rows]
-        assert max(points) <= _CIRCLE_CHUNK
+        rows = list(_mesh_rows(0.0, 2, 65536, repr, "", ",", lambda sheet: f",0.0,{sheet}\n", ""))
+        assert all(rows) and all(column for row in rows for _, column, _ in row)
+        assert max(len(column) for row in rows for _, column, _ in row) <= _CIRCLE_CHUNK
+        points = [text.count("\n") for text in _row_texts(rows, "")]
+        assert max(points) <= 512
         assert sum(points) == 65536 // 2 + 1 + 65536
 
-    @pytest.mark.parametrize("n_b", [1500, 2, 3, 4, 5, 22, 26, 52, 94, 511, 512, 513, 1022, 1023, 1024, 1025, 4097])
+    @pytest.mark.parametrize(
+        "n_b",
+        [1500, 2, 3, 4, 5, 22, 26, 52, 94, 127, 128, 129, 254, 255, 256, 511, 512, 513, 1022, 1023, 1024, 1025, 4097],
+    )
     def test_chunked_circles_match_per_point_evaluation(self, n_b):
-        # 1500 angles leave a short last chunk on both circles.  An even n_b puts a grid angle on pi, kept by
-        # index however it rounds (22 just below pi, 26, 52 and 94 just past it), an odd one straddles pi,
-        # 511 to 4097 straddle _CIRCLE_CHUNK, at 1022 and 1023 the halved circle ends on a chunk, and at 1024 a
-        # chunk starts on pi.
+        # 1500 angles leave a short last chunk.  An even n_b puts a grid angle on pi, kept by index however it
+        # rounds (22 just below pi, 26, 52 and 94 just past it), an odd one straddles pi, 127 to 4097 straddle
+        # _CIRCLE_CHUNK (128), at 254, 255, 511, 1022 and 1023 the upper angles end on a chunk, and at 256, 512
+        # and 1024 a chunk starts on pi.
         points = orbit_mesh(0.0, 2, n_b)
         assert points == _per_point_mesh(0.0, 2, n_b)
         rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]

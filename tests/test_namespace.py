@@ -11,9 +11,9 @@ import realtwoqubit
 
 #: Each name the core took from an object-API module that the module still imports.
 MOVED = {
-    "states": "_BELL_NOUN _unit _to_bell _from_bell",
+    "states": "_unit _to_bell _from_bell",
     "geometry": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
-    "entropy_from_concurrence _checked_grid _mesh_rows",
+    "_checked_grid _mesh_rows",
     "synthesis": "_inverse _apply _intersection _connect _prepare",
 }
 
@@ -22,8 +22,8 @@ PART = {
     name: part
     for part, names in {
         "_core": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 _checked_distance",
-        "_state": "_BELL_NOUN _unit _to_bell _from_bell _chart",
-        "_classify": "DEFAULT_CLASS_TOL entropy_from_concurrence",
+        "_state": "_unit _to_bell _from_bell _chart",
+        "_classify": "DEFAULT_CLASS_TOL",
         "_synthesis": "_inverse _apply _intersection _connect _prepare",
         "_mesh": "_checked_grid _mesh_rows",
     }.items()
