@@ -1,8 +1,8 @@
 """The orbit mesh walk in runs, its CSV and JSON writers (one join per run) and the mesh subcommand: no state code.
 
 The x4 >= 0 cut keeps the upper half of an n-point grid circle by index, not by the sign of a rounded sine: its first
-n // 2 + 1 angles 2 pi j / n, those with 2j <= n.  One torus walk serves every d: the d = 0 circle pair is the a = 0
-row of the torus of radii 0 and 1, its b walked a chunk of angles at a time.
+n // 2 + 1 angles 2 pi j / n, those with 2j <= n.  One torus walk serves every d, b a chunk of angles at a time: the
+d = 0 circle pair is the a = 0 row of the torus of radii 0 and 1.
 """
 
 import math
@@ -10,8 +10,8 @@ from itertools import chain, islice
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
 
-#: The d = 0 circles are walked this many angles of b at a time: a row holds at most twice this many points.
-_CIRCLE_CHUNK = 128
+#: Every orbit is walked this many angles of b at a time: a row holds at most twice this many points.
+_CHUNK = 128
 
 
 def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
@@ -36,24 +36,24 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     c of its column, so a writer renders it without code per point.  Either
     u3 varies (V34 and BOTH points), or u1 and u2 do (V12 points), or an entry
     holds a V34 point's u3 and the next point's u1 and u2: the V34/V12
-    interleave of an upper-`a` row.  A row is one grid row of a torus for a
-    chunk of b; a torus takes all of b in one chunk.  The d = 0 circle pair is
-    the a = 0 row of the torus of radii 0 and 1, walked _CIRCLE_CHUNK angles
-    of b at a time: each upper angle's V34 point then its V12 mirror, then
-    the V12 points of the lower angles.
+    interleave of an upper-`a` row.  Every d walks b _CHUNK angles at a time,
+    chunk-major: a row is one a row of the grid for one chunk of b, all rows
+    of a chunk before the next, and a row with no point in its chunk is
+    skipped.  The d = 0 circle pair is the a = 0 row of the torus of radii 0
+    and 1: each upper angle's V34 point, its V12 mirror, then the lower V12s.
     """
     if d <= _DOMAIN_SLACK:
-        n_a, sd, cd, step = 1, 0.0, 1.0, _CIRCLE_CHUNK
+        n_a, sd, cd = 1, 0.0, 1.0
     else:
-        sd, cd, step = math.sin(d), math.cos(d), n_b
+        sd, cd = math.sin(d), math.cos(d)
     # The product torus has no mirror: its one sheet is BOTH.
     mirror = abs(d - QUARTER_PI) > _DOMAIN_SLACK
     v34, v12 = close(SHEET_V34 if mirror else SHEET_BOTH), close(SHEET_V12)
     half_b = n_b // 2 + 1
     # The (x1, x2) circle of radius sin d, and the x3 entries of the (x3, x4) circle of radius cos d.
     small = [(conv(sd * math.cos(t)), conv(sd * math.sin(t))) for t in [TWO_PI * i / n_a for i in range(n_a)]]
-    for start in range(0, n_b, step):
-        angles = [TWO_PI * j / n_b for j in range(start, min(start + step, n_b))]
+    for start in range(0, n_b, _CHUNK):
+        angles = [TWO_PI * j / n_b for j in range(start, min(start + _CHUNK, n_b))]
         b1s = [conv(cd * c) for c in map(math.cos, angles)]
         upper = b1s[: max(half_b - start, 0)]
         if mirror:
@@ -66,7 +66,7 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
             left = open_ + a1 + comma + a2 + comma
             if mirror and 2 * i <= n_a:
                 yield [(lead, run, comma + a1 + v12) for lead, run in ((left, interleave), (open_, lower)) if run]
-            else:
+            elif upper:
                 yield [(left, upper, v34)]
 
 
@@ -76,7 +76,7 @@ def _run_text(left: str, column, right: str, between: str) -> str:
 
 
 def _row_texts(rows, between: str):
-    """The text of each row of runs, points parted by `between`: one text per row, so per chunk of a circle.
+    """The text of each row of runs, points parted by `between`: one text per row, an a row of one chunk of b.
 
     map holds no row once its text is made, so a row's strings are freed before the text is written.
     """
@@ -87,8 +87,8 @@ def _row_texts(rows, between: str):
 def mesh_to_csv(d: float, n_a: int, n_b: int):
     """orbit_mesh(d, n_a, n_b) as CSV text: the header u1,u2,u3,d,sheet, then one chunk per row of the walk.
 
-    The points come in orbit_mesh's order, numbers in full (repr).  A bad request raises ValueError here, before any
-    text is made.
+    The points come in orbit_mesh's order, chunk-major in b, numbers in full (repr).  A bad request raises ValueError
+    here, before any text is made.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     rows = _mesh_rows(d, n_a, n_b, repr, "", ",", lambda sheet: f",{d!r},{sheet}\n", "")
@@ -98,9 +98,9 @@ def mesh_to_csv(d: float, n_a: int, n_b: int):
 def mesh_to_json(d: float, n_a: int, n_b: int):
     """orbit_mesh(d, n_a, n_b) as JSON text {"d": d, "points": [{"u": [u1, u2, u3], "sheet": ...}, ...]}.
 
-    d is clamped into [0, pi/4], as in the CSV d column.  One chunk per row of the walk, points in orbit_mesh's order.
-    Joined, byte for byte what json.dumps writes with its default separators for a float d, plus a newline.  A bad
-    request raises ValueError here, as in mesh_to_csv.
+    d is clamped into [0, pi/4], as in the CSV d column.  One chunk per row of the walk, points chunk-major in b, as in
+    orbit_mesh.  Joined, byte for byte what json.dumps writes with its default separators for a float d, plus a
+    newline.  A bad request raises ValueError here, as in mesh_to_csv.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     rows = _mesh_rows(d, n_a, n_b, repr, '{"u": [', ", ", lambda sheet: f'], "sheet": "{sheet}"}}', ", ")

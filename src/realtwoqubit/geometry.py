@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, _entropy
-from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer
+from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer, _number
 from ._mesh import _checked_grid, _mesh_rows
 from ._state import _chart, _distance, _to_bell, on_v34_side
 from .states import BellCoords, RealState, from_bell
@@ -138,9 +138,12 @@ def parametrize(point: TorusPoint) -> RealState:
     d = _checked_distance(point.d)
     if point.sheet not in (SHEET_V34, SHEET_V12):
         raise ValueError(f"sheet must be {SHEET_V34!r} or {SHEET_V12!r}, got {point.sheet!r}")
+    a, b = _number(point.a), _number(point.b)
+    if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"angles must be finite numbers, got a={point.a!r}, b={point.b!r}")
     sd, cd = math.sin(d), math.cos(d)
-    small = (sd * math.cos(point.a), sd * math.sin(point.a))
-    large = (cd * math.cos(point.b), cd * math.sin(point.b))
+    small = (sd * math.cos(a), sd * math.sin(a))
+    large = (cd * math.cos(b), cd * math.sin(b))
     return from_bell(BellCoords(*(small + large if point.sheet == SHEET_V34 else large + small)))
 
 
@@ -154,7 +157,8 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     circle pair as the a = 0 row of a torus of radii 0 and 1, where the
     circle lying in the x4 = 0 plane survives whole and the other is halved:
     each upper angle's V34 point then its V12 mirror, then the V12 points of
-    the lower angles.
+    the lower angles.  The grid is walked chunk-major: b in chunks of 128
+    angles, every a row of one chunk before the next chunk.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     # The walk in tuples: each left + entry + right of a run is the five fields of one point, or of two in turn.

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from realtwoqubit import (
     torus_angles,
     BellCoords,
 )
+from realtwoqubit._mesh import _CHUNK, _mesh_rows, _row_texts
 from reference import immersion_defect, orbit_surface, surface_gram_det
 
 PI4 = math.pi / 4.0
@@ -249,6 +251,14 @@ class TestParametrize:
         with pytest.raises(ValueError):
             parametrize(TorusPoint(0.1, 0.0, 0.0, "BOTH"))
 
+    @pytest.mark.parametrize("angle", ["0.5", True, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_angles_are_read_by_the_number_rule(self, field, angle):
+        # Text and bools are not angles, and no state lies at a non-finite one: each is refused with the caller's a, b.
+        point = TorusPoint(0.3, 0.5, 0.5, "V34")._replace(**{field: angle})
+        with pytest.raises(ValueError, match=re.escape(f"finite numbers, got a={point.a!r}, b={point.b!r}")):
+            parametrize(point)
+
 
 class TestOrbitSurface:
     def test_zero_angles_identity(self, rng):
@@ -373,7 +383,8 @@ def _per_point_mesh(d, n_a, n_b):
     """orbit_mesh with the trigonometry evaluated afresh at every point: the reference.
 
     x4 >= 0 keeps the grid angle 2 pi j / n exactly when 2j <= n; a sine of the rounded angle would drop t = pi
-    for some even n, where the angle rounds past pi.
+    for some even n, where the angle rounds past pi.  The walk is chunk-major: b in chunks of _CHUNK angles on the
+    outside, every a row of a chunk before the next chunk.
     """
     grid_a = [(TWO_PI * i / n_a, 2 * i <= n_a) for i in range(n_a)]
     grid_b = [(TWO_PI * j / n_b, 2 * j <= n_b) for j in range(n_b)]
@@ -382,18 +393,20 @@ def _per_point_mesh(d, n_a, n_b):
         # The circle pair is the a = 0 row of the torus of radii 0 and 1.
         grid_a, sd, cd = grid_a[:1], 0.0, 1.0
     points = []
-    for a, a_upper in grid_a:
-        for b, b_upper in grid_b:
-            if b_upper:
-                sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
-                points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
-            if a_upper and abs(d - PI4) > 1e-12:
-                points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
+    for start in range(0, n_b, _CHUNK):
+        for a, a_upper in grid_a:
+            for b, b_upper in grid_b[start : start + _CHUNK]:
+                if b_upper:
+                    sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
+                    points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
+                if a_upper and abs(d - PI4) > 1e-12:
+                    points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
     return points
 
 
-# With n_b = 2 every b is upper, so a row has no V12-only run; with n_a = 2 every row is an upper-a row.
-GRIDS = [(6, 7), (7, 8), (2, 2), (2, 3), (3, 2)]
+# With n_b = 2 every b is upper, so a row has no V12-only run; with n_a = 2 every row is an upper-a row.  At n_b = 300
+# the b walk takes three chunks, the last of them lower angles only.
+GRIDS = [(6, 7), (7, 8), (2, 2), (2, 3), (3, 2), (3, 300)]
 MESH_CASES = [(d, n_a, n_b) for d in (0.0, 1e-13, math.pi / 6, PI4 - 1e-13, PI4) for n_a, n_b in GRIDS]
 
 
@@ -430,18 +443,32 @@ class TestMeshWriters:
         assert orbit_mesh(0.0, 3, 5) == orbit_mesh(0.0, 2, 5) == want
 
 
-class TestCircleChunks:
-    def test_no_circle_row_exceeds_the_chunk(self):
-        # The d = 0 circles are streamed a chunk of angles at a time, so memory stays flat in n_b: no text holds
-        # more than 512 points, and no table more than a chunk of entries.
-        from realtwoqubit._mesh import _CIRCLE_CHUNK, _mesh_rows, _row_texts
-
-        rows = list(_mesh_rows(0.0, 2, 65536, repr, "", ",", lambda sheet: f",0.0,{sheet}\n", ""))
+class TestChunks:
+    @pytest.mark.parametrize("d", [0.0, 0.3, PI4])
+    def test_no_row_exceeds_the_chunk(self, d):
+        # Every orbit is streamed a chunk of b at a time, so memory stays flat in n_b: no table holds more than a chunk
+        # of entries, and no text more than two points per entry.  From b = 768 of 1500 on, whole chunks hold lower
+        # angles only: their product-torus and lower-a rows have no point and are dropped, not written empty.
+        rows = list(_mesh_rows(d, 3, 1500, repr, "", ",", lambda sheet: f",{d!r},{sheet}\n", ""))
         assert all(rows) and all(column for row in rows for _, column, _ in row)
-        assert max(len(column) for row in rows for _, column, _ in row) <= _CIRCLE_CHUNK
+        assert max(len(column) for row in rows for _, column, _ in row) <= _CHUNK
         points = [text.count("\n") for text in _row_texts(rows, "")]
-        assert max(points) <= 512
-        assert sum(points) == 65536 // 2 + 1 + 65536
+        assert max(points) <= 2 * _CHUNK
+        assert sum(points) == _point_count(d, 3, 1500)
+
+    @pytest.mark.parametrize("write", [mesh_to_csv, mesh_to_json])
+    @pytest.mark.parametrize("d", [0.3, PI4])
+    def test_writers_run_in_flat_memory(self, write, d):
+        # Consumed a chunk at a time, as the mesh command writes it, a 2 x 65536 torus never holds more than a chunk's
+        # tables and text: a whole row of b would be tens of MiB.
+        tracemalloc.start()
+        try:
+            for _ in write(d, 2, 65536):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "n_b",
@@ -450,7 +477,7 @@ class TestCircleChunks:
     def test_chunked_circles_match_per_point_evaluation(self, n_b):
         # 1500 angles leave a short last chunk.  An even n_b puts a grid angle on pi, kept by index however it
         # rounds (22 just below pi, 26, 52 and 94 just past it), an odd one straddles pi, 127 to 4097 straddle
-        # _CIRCLE_CHUNK (128), at 254, 255, 511, 1022 and 1023 the upper angles end on a chunk, and at 256, 512
+        # _CHUNK (128), at 254, 255, 511, 1022 and 1023 the upper angles end on a chunk, and at 256, 512
         # and 1024 a chunk starts on pi.
         points = orbit_mesh(0.0, 2, n_b)
         assert points == _per_point_mesh(0.0, 2, n_b)
