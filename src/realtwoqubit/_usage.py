@@ -1,4 +1,7 @@
-"""Help and usage errors of the command line, formatted from its subcommand table; `cli` writes them and exits."""
+"""The command line's longer error texts, loaded only when one is written: help and usage errors, formatted from its
+subcommand table, and why a stdin line is refused; `cli` writes them and exits."""
+
+import re
 
 
 def _help_or_error(commands: dict, command: str, error: str = "") -> str:
@@ -15,3 +18,14 @@ def _help_or_error(commands: dict, command: str, error: str = "") -> str:
     if error:
         return f"{usage}\nrealtwoqubit: error: {error}\n"
     return "\n".join([usage, "", blurb, "", *(f"  {a:<16} {b}" for a, b in rows), ""])
+
+
+def _refusal(line: str, per_line: int) -> str:
+    """Why a stdin line is refused: a token that is no number, else its count, read a token at a time, not split in full."""
+    count = 0
+    try:
+        for count, match in enumerate(re.finditer(r"\S+", line), 1):  # \S+ splits as str.split() does
+            float(match[0])
+    except ValueError:
+        return f"malformed input line {line.strip()!r}"
+    return f"expected {per_line} numbers, got {count}"

@@ -26,19 +26,16 @@ and flushed at once by `_write_all`, help too, so no record is held while the
 program waits for input, the records before a bad line stay, and a stdout
 that fails ends every run with exit 1, under `python -u` too.
 
-One table, `_COMMANDS`, gives each subcommand's help line, handler, numbers
-per input and flags.  `parse_args` walks argv once against it: a token that
-starts with `--` (or is `-h`) is a flag, given as `--flag value`,
-`--flag=value` or a unique abbreviation, and the last of a repeated flag
-wins; every other token, and every token after `--`, is a number, wherever
-it stands.  Help and usage errors are formatted from the same table.
+The argv grammar is `_argv`'s, which does no I/O: `main` writes the help or
+usage error that `parse_args` raises, formatted by `_usage`.
 
 At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
-loaded by the interpreter already) and the core's base `_core` are imported.
-A subcommand imports its part of the core as it runs: `_state` with
-`_classify` or `_synthesis`, or `_mesh` alone, and help and usage errors
-`_usage`.  So a run compiles no part it does not run and loads neither argparse
-nor dataclasses nor the object API; `sample` imports `geometry`.
+loaded by the interpreter already), the core's base `_core` and the grammar
+`_argv` are imported.  A subcommand imports its part of the core as it runs:
+`_state` with `_classify` or `_synthesis`, or `_mesh` alone, and help and
+usage errors `_usage`.  So a run compiles no part it does not run and loads
+neither argparse nor dataclasses nor the object API; `sample` imports
+`geometry`.
 """
 
 import codecs
@@ -46,39 +43,12 @@ import errno
 import importlib
 import os
 import sys
-import types
 
-from ._core import DEFAULT_TOL, OrbitMismatchError, _checked_tol
-
-#: Per subcommand: help line, "part.handler" (a record maker if it reads states, else it returns its output texts),
-#: numbers per input (0: none) and flags, name -> (dest, converter or None for a switch, default or ... if required, help).
-_TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e-10)")}
-_D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
-_COMMANDS = {
-    "classify": ("orbit class, distance, entropy and Bell coordinates", "_classify._classify_record", 4, _TOL),
-    "prepare": ("preparation circuit from |00>", "_synthesis._prepare_record", 4, _TOL),
-    "connect": ("circuit taking the source state to the target state", "_synthesis._connect_record", 8, {
-        **_TOL, "--local-only": ("local_only", None, False, "refuse to use CZ; exit 3 if the orbits differ")}),
-    "mesh": ("sample an orbit into the unit ball", "_mesh._cmd_mesh", 0, {
-        **_TOL, **_D, "--na": ("na", int, 64, "grid size for angle a (default 64)"),
-        "--nb": ("nb", int, 64, "grid size for angle b (default 64)"),
-        "--out": ("out", str, None, "write to this path instead of stdout"),
-        "--format": ("format", {"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv (default json)")}),
-    "sample": ("random states on an orbit", "geometry._cmd_sample", 0, {
-        **_D, "--count": ("count", int, 1, "number of states (default 1)"), "--seed": ("seed", int, None, "RNG seed")}),
-}
-_HELP = ("-h", "--help")
+from ._argv import _COMMANDS, _Usage, parse_args
+from ._core import OrbitMismatchError, _checked_tol
 
 #: Bytes per stdin read: the chunk size of sys.stdin itself, so a decoding error names the same position.
 _READ_SIZE = 8192
-
-
-def _stop(command: str, error: str = ""):
-    """Write help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only then."""
-    from ._usage import _help_or_error
-
-    (_error if error else _write_all)(_help_or_error(_COMMANDS, command, error))
-    raise SystemExit(2 if error else 0)
 
 
 def _error(text: str) -> None:
@@ -97,55 +67,6 @@ def _to_devnull(stream) -> None:
     except (AttributeError, OSError):  # no stream, or one without a file descriptor
         return
     os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-
-
-def _flag(command: str, token: str, names) -> str:
-    """The flag a token names: itself, or the one flag that a --token abbreviates."""
-    found = [token] if token in names else [n for n in names if token[:2] == "--" and token[2:] and n.startswith(token)]
-    if len(found) != 1:
-        _stop(command, f"ambiguous option {token}: {' or '.join(found)}" if found else f"unrecognized argument {token}")
-    return found[0]
-
-
-def parse_args(argv: list[str]) -> types.SimpleNamespace:
-    """Walk argv once against _COMMANDS: flags and numbers in any order, and only numbers after `--`."""
-    command = argv[0] if argv else ""
-    if command[:1] == "-" and _flag("", command, _HELP):
-        _stop("")
-    if command not in _COMMANDS:
-        _stop("", f"unknown subcommand {command!r}" if command else "missing subcommand")
-    _, handler, per_line, flags = _COMMANDS[command]
-    defaults = {dest: default for dest, _, default, _ in flags.values()}
-    args = types.SimpleNamespace(**defaults, handler=handler, per_line=per_line, values=[])
-    tokens, options = iter(argv[1:]), True
-    for token in tokens:
-        if options and token == "--":
-            options = False
-        elif options and (token[:2] == "--" or token in _HELP):  # every other token is a number, as on stdin
-            name, eq, value = token.partition("=")
-            flag = _flag(command, name, [*flags, *_HELP])
-            dest, convert, _, _ = flags.get(flag) or _stop(command)  # -h, --help
-            if convert is None and eq:
-                _stop(command, f"{flag} takes no value")
-            if convert is not None and not eq:
-                value = next(tokens, "--")
-                if value[:2] == "--" or value in _HELP:
-                    _stop(command, f"{flag} expects a value")
-            try:
-                setattr(args, dest, True if convert is None else convert(value))
-            except (KeyError, ValueError):
-                _stop(command, f"invalid {flag} value {value!r}")
-        elif not per_line:
-            _stop(command, f"{command} takes no numbers, got {token!r}")
-        else:
-            try:
-                args.values.append(float(token))
-            except ValueError:
-                _stop(command, f"not a number: {token!r}")
-    for flag, (dest, _, _, _) in flags.items():
-        if getattr(args, dest) is ...:
-            _stop(command, f"{command} requires {flag}")
-    return args
 
 
 def _write_all(text: str) -> None:
@@ -212,13 +133,17 @@ def _records(run, args):
         records = []
         try:
             for number, line in enumerate(lines, number + 1):
-                tokens = line.split()
+                tokens = line.split(None, args.per_line)  # a longer line keeps its rest in one piece
                 if not tokens:
                     continue
                 try:
+                    if len(tokens) > args.per_line:  # refused as a bad number is, with no float made of its rest
+                        raise ValueError
                     values = [*map(float, tokens)]
                 except ValueError:
-                    raise ValueError(f"malformed input line {line.strip()!r}") from None
+                    from ._usage import _refusal  # compiled only when a line is refused
+
+                    raise ValueError(_refusal(line, args.per_line)) from None
                 records.append(run(args, *_states_from_values(values, args.per_line)))
         except ValueError as exc:  # parsing, checking or writing; the class is kept, so ORBIT_MISMATCH still exits 3
             yield "".join(records)
@@ -228,7 +153,7 @@ def _records(run, args):
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)  # help, too, is written inside the try
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         # --tol is checked once, here, for every subcommand that takes it.
         if "tol" in vars(args):
             _checked_tol(args.tol)
@@ -247,6 +172,11 @@ def main(argv=None) -> int:
         for text in texts:  # the one writer of stdout: each text in full and flushed, so a failing stdout shows here
             _write_all(text)
         return 0
+    except _Usage as exc:  # help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only now
+        from ._usage import _help_or_error
+
+        (_error if exc.error else _write_all)(_help_or_error(_COMMANDS, exc.command, exc.error))
+        raise SystemExit(2 if exc.error else 0) from None
     except OrbitMismatchError as exc:
         _error(f"error: ORBIT_MISMATCH: {exc}\n")
         return 3

@@ -127,8 +127,20 @@ def apply(circuit: Circuit, state: RealState) -> RealState:
     w2 <-> w3 swap (SWAP conjugation), so it rotates or swaps (w1, w2) and
     (w3, w4).  The dense Kronecker matrices and the partial-trace entropy it
     is checked against live in the suite (`tests/reference.py`), not here.
+    Each entry is read as `Gate(*entry)`, so it follows Gate's rule; one that
+    breaks it, or a circuit that is no iterable, raises ValueError.
     """
-    return RealState._wrap(_apply(circuit, RealState.from_vector(state)))
+    try:
+        entries = iter(circuit)
+    except TypeError:
+        raise ValueError(f"circuit must be an iterable of gates, got {circuit!r}") from None
+    gates = []
+    for entry in entries:
+        try:
+            gates.append(Gate(*entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"circuit entry {entry!r} is no gate: {exc}") from None
+    return RealState._wrap(_apply(gates, RealState.from_vector(state)))
 
 
 class ConnectionPlan(NamedTuple):

@@ -13,6 +13,7 @@ import select
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -37,6 +38,7 @@ from realtwoqubit import (
     to_bell,
     TorusPoint,
 )
+from realtwoqubit._argv import _Usage, parse_args
 from realtwoqubit.cli import main
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -552,6 +554,32 @@ class TestParser:
         rows = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
         assert [r for r in rows if r != "W"] == listed
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["classify", "--tol=1e-3", "1", "0", "0", "0"], None),
+            (["--help"], ("", "")),
+            (["mesh", "-h"], ("mesh", "")),
+            (["mesh", "--d"], ("mesh", "--d expects a value")),
+        ],
+    )
+    def test_parse_args_does_no_io(self, argv, usage, monkeypatch):
+        # The grammar only parses: help and usage errors come back as _Usage, and main writes them.
+        class Refusing:
+            def write(self, text):
+                raise AssertionError(f"parse_args wrote {text!r}")
+
+        monkeypatch.setattr("sys.stdout", Refusing())
+        monkeypatch.setattr("sys.stderr", Refusing())
+        if usage is None:
+            assert vars(parse_args(argv)) == {
+                "tol": 1e-3, "handler": "_classify._classify_record", "per_line": 4, "values": [1.0, 0.0, 0.0, 0.0]
+            }
+        else:
+            with pytest.raises(_Usage) as exc:
+                parse_args(argv)
+            assert (exc.value.command, exc.value.error) == usage
+
     def test_prepare_residual_verified_against_simulator(self, capsys):
         # the reported residual is exactly the simulator's, not a recomputation
         _, out, _ = run_cli(capsys, "prepare", "0", "0", "1", "0")
@@ -601,6 +629,8 @@ class TestBatchErrors:
             ("nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
             ("2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
             ("1 0 0 0 0", "expected 4 numbers, got 5"),
+            ("1 0 0 0 0 1 0 0", "expected 4 numbers, got 8"),
+            ("1 0 0 0 0 1 zero 0", "malformed input line '1 0 0 0 0 1 zero 0'"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "prepare"])
@@ -961,6 +991,25 @@ def test_a_line_longer_than_many_reads_takes_linear_time(capsys, monkeypatch):
     assert result == (2, "", "error: line 1: expected 4 numbers, got 1\n")
 
 
+@pytest.mark.parametrize("last, bound", [("0.5", 3), ("zero", 8)], ids=["count", "malformed"])
+def test_a_long_line_is_refused_without_splitting_it(last, bound, capsys, monkeypatch):
+    # A line of 100,000 numbers is refused as a string plus its rest: a list of its tokens and floats took 12 times
+    # the line.  The malformed message carries the line, so it is copied a few times on its way to stderr.
+    line = " ".join([*(f"{i}.25" for i in range(99_999)), last])
+    message = "expected 4 numbers, got 100000" if last == "0.5" else f"malformed input line {line!r}"
+    first = run_cli(capsys, "classify", "1", "0", "0", "0")[1]
+    monkeypatch.setattr("realtwoqubit.cli._READ_SIZE", 4096)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f"1 0 0 0\n{line}\n".encode()), encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "classify")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, first, f"error: line 2: {message}\n")
+    assert peak < bound * len(line)
+
+
 def test_text_written_to_stdout_before_stays_first(capsys, monkeypatch):
     # The records go below a buffered text layer: what a caller wrote to it before main must come out before them.
     record = run_cli(capsys, "classify", "1", "0", "0", "0")[1]
@@ -995,22 +1044,22 @@ def test_full_nonblocking_stdout_raises(capsys, monkeypatch):
 
 #: Per subcommand, the runs of the start-up test and the part modules of the core they may load.
 START_UP_RUNS = {
-    "classify": ([["classify", "1", "0", "0", "0"]], "_classify _core _state"),
-    "prepare": ([["prepare", "0.5", "0.5", "0.5", "0.5"]], "_core _state _synthesis"),
+    "classify": ([["classify", "1", "0", "0", "0"]], "_argv _classify _core _state"),
+    "prepare": ([["prepare", "0.5", "0.5", "0.5", "0.5"]], "_argv _core _state _synthesis"),
     "connect": (
         [
             ["connect", "1", "0", "0", "0", "0", "0", "0", "1"],
             ["connect", "--local-only", "1", "0", "0", "0", "0", "1", "0", "0"],
             ["connect", "--local-only", "1", "0", "0", "0", "0.7071067811865476", "0", "0", "0.7071067811865476"],
         ],
-        "_core _state _synthesis",
+        "_argv _core _state _synthesis",
     ),
     "mesh": (
         [
             ["mesh", "--d", "0.3", "--na", "4", "--nb", "4"],
             ["mesh", "--d", "0.3", "--na", "4", "--nb", "4", "--format", "csv"],
         ],
-        "_core _mesh",
+        "_argv _core _mesh",
     ),
 }
 

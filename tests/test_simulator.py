@@ -1,6 +1,7 @@
 """Gate matrices, circuit application, reduced densities and the entropy route."""
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -133,6 +134,32 @@ class TestApply:
             c = _random_local_circuit(rng)
             round_trip = apply(c.inverse(), apply(c, s))
             assert float(np.linalg.norm(np.array(round_trip) - np.array(s))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "circuit, named",
+        [
+            ([("ry", 2, 0.5)], "('ry', 2, 0.5)"),
+            ([("x", True)], "('x', True)"),
+            ([("foo", 0, None)], "('foo', 0, None)"),
+            ([("ry", 0, "x")], "('ry', 0, 'x')"),
+            ([5], "5"),
+            ("abc", "'a'"),
+            (5, "5"),
+        ],
+        ids=["qubit-2", "qubit-true", "kind", "angle-text", "entry-5", "text", "circuit-5"],
+    )
+    def test_an_entry_that_breaks_gates_rule_is_refused(self, circuit, named):
+        # Each entry is read as Gate(*entry): qubit 2 and True no longer run as qubit 0 and 1, and the rest are refused
+        # with a ValueError that names the caller's entry.
+        with pytest.raises(ValueError, match=re.escape(named)):
+            apply(circuit, RealState(1, 0, 0, 0))
+
+    def test_plain_tuples_run_as_their_gates(self, rng):
+        # Read by Gate's rule, an integer angle and a numpy qubit give the bits their Gate gives.
+        gates = [("ry", np.int64(1), 1), ("cz",), ("x", 0), ("ry", 0, np.float64(-0.3))]
+        for _ in range(20):
+            s = _random_state(rng)
+            assert repr(apply(gates, s)) == repr(apply(Circuit(Gate(*g) for g in gates), s))
 
 
 class TestReducedDensity:
