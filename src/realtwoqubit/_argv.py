@@ -28,7 +28,7 @@ _COMMANDS = {
         "--nb": ("nb", int, 64, "grid size for angle b (default 64)"),
         "--out": ("out", str, None, "write to this path instead of stdout"),
         "--format": ("format", {"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv (default json)")}),
-    "sample": ("random states on an orbit", "geometry._cmd_sample", 0, {
+    "sample": ("random states on an orbit", "_sample._cmd_sample", 0, {
         **_D, "--count": ("count", int, 1, "number of states (default 1)"), "--seed": ("seed", int, None, "RNG seed")}),
 }
 _HELP = ("-h", "--help")

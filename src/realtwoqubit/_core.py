@@ -1,8 +1,8 @@
 """The shared base of the plain-float core that the command line runs, split by subcommand.
 
-A run compiles only what it executes: `_state`, then `_classify` or `_synthesis`, or `_mesh` alone.
-The parts import only math, operator, itertools and each other, and do no I/O; the object API wraps them in its records,
-so each formula has one implementation and each public name one import path.
+A run compiles only what it executes: `_state` with `_classify` or `_synthesis`, `_mesh` alone, or `_sample`, `_state`
+and `_mesh`.  The parts import only math, operator, itertools, each other and, in `_sample` alone, random; they do no
+I/O, and the object API wraps them in its records, so each formula has one implementation and each name one import path.
 """
 
 import math

@@ -12,6 +12,8 @@ from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, 
 
 #: Every orbit is walked this many angles of b at a time: a row holds at most twice this many points.
 _CHUNK = 128
+#: And this many angles of a at a time, each tile's table made once and walked over every chunk of b.
+_A_CHUNK = 1024
 
 
 def _checked_grid(d: float, n_a: int, n_b: int) -> tuple[float, int, int]:
@@ -29,18 +31,21 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
 
     Every orbit is a product of two circles in the Bell planes, so each
     coordinate is an entry of a per-angle table: the trigonometry runs once
-    per grid angle, and `conv` once per table entry, not once per point.  A
-    point is open_ + u1 + comma + u2 + comma + u3 + close(sheet), and
-    `between` parts two points: text for the writers, tuples for orbit_mesh.
+    per grid angle (per tile, for b), and `conv` once per table entry, not
+    once per point.  A point is open_ + u1 + comma + u2 + comma + u3 +
+    close(sheet), and `between` parts two points: text for the writers,
+    tuples for orbit_mesh.
     A run (left, column, right) is the points left + c + right, one per entry
     c of its column, so a writer renders it without code per point.  Either
     u3 varies (V34 and BOTH points), or u1 and u2 do (V12 points), or an entry
     holds a V34 point's u3 and the next point's u1 and u2: the V34/V12
-    interleave of an upper-`a` row.  Every d walks b _CHUNK angles at a time,
-    chunk-major: a row is one a row of the grid for one chunk of b, all rows
-    of a chunk before the next, and a row with no point in its chunk is
-    skipped.  The d = 0 circle pair is the a = 0 row of the torus of radii 0
-    and 1: each upper angle's V34 point, its V12 mirror, then the lower V12s.
+    interleave of an upper-`a` row.  Every d walks a in tiles of _A_CHUNK
+    angles and, in each tile, b _CHUNK angles at a time: tile-major in a,
+    then chunk-major in b.  A row is one a row of the grid for one chunk of
+    b, all rows of a tile's chunk before its next chunk, and a row with no
+    point in its chunk is skipped.  The d = 0 circle pair is the a = 0 row of
+    the torus of radii 0 and 1: each upper angle's V34 point, its V12 mirror,
+    then the lower V12s.
     """
     if d <= _DOMAIN_SLACK:
         n_a, sd, cd = 1, 0.0, 1.0
@@ -50,24 +55,26 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     mirror = abs(d - QUARTER_PI) > _DOMAIN_SLACK
     v34, v12 = close(SHEET_V34 if mirror else SHEET_BOTH), close(SHEET_V12)
     half_b = n_b // 2 + 1
-    # The (x1, x2) circle of radius sin d, and the x3 entries of the (x3, x4) circle of radius cos d.
-    small = [(conv(sd * math.cos(t)), conv(sd * math.sin(t))) for t in [TWO_PI * i / n_a for i in range(n_a)]]
-    for start in range(0, n_b, _CHUNK):
-        angles = [TWO_PI * j / n_b for j in range(start, min(start + _CHUNK, n_b))]
-        b1s = [conv(cd * c) for c in map(math.cos, angles)]
-        upper = b1s[: max(half_b - start, 0)]
-        if mirror:
-            # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In an upper-`a` row an
-            # upper b's V34 point comes before its V12 point, and a lower b has its V12 point only.
-            pairs = [b1 + comma + conv(cd * s) for b1, s in zip(b1s, map(math.sin, angles))]
-            interleave = [b1 + v34 + between + open_ + p for b1, p in zip(upper, pairs)]
-            lower = pairs[len(upper) :]
-        for i, (a1, a2) in enumerate(small):
-            left = open_ + a1 + comma + a2 + comma
-            if mirror and 2 * i <= n_a:
-                yield [(lead, run, comma + a1 + v12) for lead, run in ((left, interleave), (open_, lower)) if run]
-            elif upper:
-                yield [(left, upper, v34)]
+    for tile in range(0, n_a, _A_CHUNK):
+        # A tile of the (x1, x2) circle of radius sin d, and per chunk the x3 entries of the (x3, x4) circle of cos d.
+        angles_a = [TWO_PI * i / n_a for i in range(tile, min(tile + _A_CHUNK, n_a))]
+        small = [(conv(sd * math.cos(t)), conv(sd * math.sin(t))) for t in angles_a]
+        for start in range(0, n_b, _CHUNK):
+            angles = [TWO_PI * j / n_b for j in range(start, min(start + _CHUNK, n_b))]
+            b1s = [conv(cd * c) for c in map(math.cos, angles)]
+            upper = b1s[: max(half_b - start, 0)]
+            if mirror:
+                # V34 sheet: x4 = cos(d) sin(b); V12 sheet, the planes swapped: x4 = sin(d) sin(a).  In an upper-`a`
+                # row an upper b's V34 point comes before its V12 point, and a lower b has its V12 point only.
+                pairs = [b1 + comma + conv(cd * s) for b1, s in zip(b1s, map(math.sin, angles))]
+                interleave = [b1 + v34 + between + open_ + p for b1, p in zip(upper, pairs)]
+                lower = pairs[len(upper) :]
+            for i, (a1, a2) in enumerate(small, tile):
+                left = open_ + a1 + comma + a2 + comma
+                if mirror and 2 * i <= n_a:
+                    yield [(lead, run, comma + a1 + v12) for lead, run in ((left, interleave), (open_, lower)) if run]
+                elif upper:
+                    yield [(left, upper, v34)]
 
 
 def _run_text(left: str, column, right: str, between: str) -> str:
@@ -87,8 +94,8 @@ def _row_texts(rows, between: str):
 def mesh_to_csv(d: float, n_a: int, n_b: int):
     """orbit_mesh(d, n_a, n_b) as CSV text: the header u1,u2,u3,d,sheet, then one chunk per row of the walk.
 
-    The points come in orbit_mesh's order, chunk-major in b, numbers in full (repr).  A bad request raises ValueError
-    here, before any text is made.
+    The points come in orbit_mesh's order, tile-major in a, then chunk-major in b, numbers in full (repr).  A bad
+    request raises ValueError here, before any text is made.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     rows = _mesh_rows(d, n_a, n_b, repr, "", ",", lambda sheet: f",{d!r},{sheet}\n", "")
@@ -98,9 +105,9 @@ def mesh_to_csv(d: float, n_a: int, n_b: int):
 def mesh_to_json(d: float, n_a: int, n_b: int):
     """orbit_mesh(d, n_a, n_b) as JSON text {"d": d, "points": [{"u": [u1, u2, u3], "sheet": ...}, ...]}.
 
-    d is clamped into [0, pi/4], as in the CSV d column.  One chunk per row of the walk, points chunk-major in b, as in
-    orbit_mesh.  Joined, byte for byte what json.dumps writes with its default separators for a float d, plus a
-    newline.  A bad request raises ValueError here, as in mesh_to_csv.
+    d is clamped into [0, pi/4], as in the CSV d column.  One chunk per row of the walk, points tile-major in a, then
+    chunk-major in b, as in orbit_mesh.  Joined, byte for byte what json.dumps writes with its default separators for a
+    float d, plus a newline.  A bad request raises ValueError here, as in mesh_to_csv.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     rows = _mesh_rows(d, n_a, n_b, repr, '{"u": [', ", ", lambda sheet: f'], "sheet": "{sheet}"}}', ", ")

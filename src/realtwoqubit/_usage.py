@@ -21,11 +21,18 @@ def _help_or_error(commands: dict, command: str, error: str = "") -> str:
 
 
 def _refusal(line: str, per_line: int) -> str:
-    """Why a stdin line is refused: a token that is no number, else its count, read a token at a time, not split in full."""
+    """Why a stdin line is refused: a token that is no number, else its count, read a token at a time, not split in full.
+
+    A line of more than 80 characters is named by its length and its first bad token, cut to 40 characters, at its
+    1-based column, so that the message stays short however long the line.
+    """
     count = 0
     try:
         for count, match in enumerate(re.finditer(r"\S+", line), 1):  # \S+ splits as str.split() does
             float(match[0])
     except ValueError:
-        return f"malformed input line {line.strip()!r}"
+        if len(line) <= 80:
+            return f"malformed input line {line.strip()!r}"
+        token = f"{match[0][:40]!r}{'...' * (len(match[0]) > 40)}"
+        return f"malformed input line of {len(line)} characters: {token} at column {match.start() + 1}"
     return f"expected {per_line} numbers, got {count}"

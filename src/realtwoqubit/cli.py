@@ -19,12 +19,12 @@ orbits (...)`; errors in argv name no line.  One loop, `_records`, does that
 per-line work: each input state is validated once, as it is read; the work
 then runs on plain 4-tuples, and each record is one f-string of reprs, byte
 for byte what json.dumps writes.  Stdin is taken a read at a time, as much as
-it holds, and the records of each read are one text; mesh returns its chunks
-and sample its JSON line.  This module alone reads stdin and writes stdout,
-stderr and --out, so the core does no I/O: `main` writes each text in full
-and flushed at once by `_write_all`, help too, so no record is held while the
-program waits for input, the records before a bad line stay, and a stdout
-that fails ends every run with exit 1, under `python -u` too.
+it holds, and the records of each read are one text; mesh and sample return
+their chunks.  This module alone reads stdin and writes stdout, stderr and
+--out, so the core does no I/O: `main` writes each text in full and flushed
+at once by `_write_all`, help too, so no record is held while the program
+waits for input, the records before a bad line stay, and a stdout that fails
+ends every run with exit 1, under `python -u` too.
 
 The argv grammar is `_argv`'s, which does no I/O: `main` writes the help or
 usage error that `parse_args` raises, formatted by `_usage`.
@@ -32,10 +32,10 @@ usage error that `parse_args` raises, formatted by `_usage`.
 At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
 loaded by the interpreter already), the core's base `_core` and the grammar
 `_argv` are imported.  A subcommand imports its part of the core as it runs:
-`_state` with `_classify` or `_synthesis`, or `_mesh` alone, and help and
-usage errors `_usage`.  So a run compiles no part it does not run and loads
-neither argparse nor dataclasses nor the object API; `sample` imports
-`geometry`.
+`_state` with `_classify` or `_synthesis`, `_mesh` alone, or `_sample` with
+`_mesh` and `_state`, and help and usage errors `_usage`.  So a run compiles
+no part it does not run and loads neither argparse nor dataclasses nor the
+object API.
 """
 
 import codecs

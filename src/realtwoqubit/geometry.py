@@ -19,20 +19,21 @@ The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
 apart without computing distances twice (`_state.on_v34_side`).
 
 The chart (`_state`), the classification and the entropy from the
-concurrence (`_classify`) and the mesh walk with its text writers (`_mesh`)
-are in the plain-float core; this module wraps them in the OrbitClass,
-TorusPoint and MeshPoint records and adds the parametrization of a sheet and
-the sampling of an orbit, with the `sample` subcommand.
+concurrence (`_classify`), the mesh walk (`_mesh`), the torus formula and
+the draws (`_sample`) are in the plain-float core; this module wraps them in
+the OrbitClass, TorusPoint, MeshPoint and RealState records.  The `sample`
+subcommand runs on `_sample` and loads no object-API module.
 """
 
 import math
 from typing import NamedTuple
 
 from ._classify import DEFAULT_CLASS_TOL, _classify, _entropy
-from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, TWO_PI, _checked_distance, _integer, _number
+from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, _checked_distance, _number
 from ._mesh import _checked_grid, _mesh_rows
+from ._sample import _draws, _torus_state
 from ._state import _chart, _distance, _to_bell, on_v34_side
-from .states import BellCoords, RealState, from_bell
+from .states import RealState
 
 
 class DegenerateAngleError(ValueError):
@@ -141,10 +142,7 @@ def parametrize(point: TorusPoint) -> RealState:
     a, b = _number(point.a), _number(point.b)
     if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"angles must be finite numbers, got a={point.a!r}, b={point.b!r}")
-    sd, cd = math.sin(d), math.cos(d)
-    small = (sd * math.cos(a), sd * math.sin(a))
-    large = (cd * math.cos(b), cd * math.sin(b))
-    return from_bell(BellCoords(*(small + large if point.sheet == SHEET_V34 else large + small)))
+    return RealState._wrap(_torus_state(d, point.sheet == SHEET_V34, a, b))
 
 
 def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
@@ -157,8 +155,9 @@ def orbit_mesh(d: float, n_a: int, n_b: int) -> list[MeshPoint]:
     circle pair as the a = 0 row of a torus of radii 0 and 1, where the
     circle lying in the x4 = 0 plane survives whole and the other is halved:
     each upper angle's V34 point then its V12 mirror, then the V12 points of
-    the lower angles.  The grid is walked chunk-major: b in chunks of 128
-    angles, every a row of one chunk before the next chunk.
+    the lower angles.  The grid is walked tile-major in a, then chunk-major
+    in b: a in tiles of 1024 angles, b in chunks of 128, every a row of a
+    tile for one chunk before the tile's next chunk.
     """
     d, n_a, n_b = _checked_grid(d, n_a, n_b)
     # The walk in tuples: each left + entry + right of a run is the five fields of one point, or of two in turn.
@@ -174,24 +173,4 @@ def sample_orbit_states(d: float, count: int, rng) -> list[RealState]:
     random.Random or a numpy Generator.  Raises ValueError for a count that
     is not a non-negative integer.
     """
-    d = _checked_distance(d)
-    if (n := _integer(count)) is None:
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if n < 0:
-        raise ValueError(f"count must be non-negative, got {n}")
-    out = []
-    for _ in range(n):
-        sheet = SHEET_V34 if rng.random() < 0.5 else SHEET_V12
-        out.append(parametrize(TorusPoint(d, rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI), sheet)))
-    return out
-
-
-def _cmd_sample(args) -> list[str]:
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
-    import json
-    import random
-
-    states = sample_orbit_states(args.d, args.count, random.Random(args.seed))
-    # The header's d is the one the states are drawn at: the caller's, clamped into [0, pi/4].
-    return [json.dumps({"d": _checked_distance(args.d), "states": [s.to_dict() for s in states]}) + "\n"]
+    return [*map(RealState._wrap, _draws(d, count, rng)[1])]

@@ -39,6 +39,7 @@ from realtwoqubit import (
     TorusPoint,
 )
 from realtwoqubit._argv import _Usage, parse_args
+from realtwoqubit._sample import _cmd_sample
 from realtwoqubit.cli import main
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -391,12 +392,20 @@ class TestMesh:
 
 
 class TestSample:
-    def test_seeded_output_pinned(self, capsys):
-        # --seed N draws from random.Random(N); the numpy stream stays pinned in the library tests.
-        code, out, _ = run_cli(capsys, "sample", "--d", "0.3", "--seed", "7", "--count", "5")
+    @pytest.mark.parametrize(
+        "d, count",
+        [("0.3", 5)] + [(d, n) for d in ("0", "0.3", "0.7853981633974483", "-1e-13") for n in (0, 1, 127, 128, 129)],
+    )
+    def test_seeded_output_pinned(self, d, count, capsys):
+        # --seed N draws from random.Random(N); the numpy stream stays pinned in the library tests.  The text comes 128
+        # states at a time, so 127 to 129 straddle a chunk; joined, it is json.dumps of the library's states.
+        code, out, _ = run_cli(capsys, "sample", "--d", d, "--seed", "7", "--count", str(count))
         assert code == 0
-        states = sample_orbit_states(0.3, 5, random.Random(7))
-        assert out == json.dumps({"d": 0.3, "states": [s.to_dict() for s in states]}) + "\n"
+        states = sample_orbit_states(float(d), count, random.Random(7))
+        header = min(max(float(d), 0.0), math.pi / 4)
+        assert out == json.dumps({"d": header, "states": [s.to_dict() for s in states]}) + "\n"
+        if (d, count) != ("0.3", 5):
+            return
         assert json.loads(out) == {
             "d": 0.3,
             "states": [
@@ -437,6 +446,19 @@ class TestSample:
         assert run_cli(capsys, "sample", "--d", "0.1", "--seed", "-1") == (
             2, "", "error: seed must be non-negative, got -1\n"
         )
+
+    def test_runs_in_flat_memory(self):
+        # The states are drawn and written a chunk at a time, as main writes them: the peak does not grow with the count.
+        peaks = []
+        for count in (1_000, 100_000):
+            args = parse_args(["sample", "--d", "0.3", "--count", str(count), "--seed", "1"])
+            tracemalloc.start()
+            try:
+                assert sum(map(len, _cmd_sample(args))) > 90 * count
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**16, peaks
 
     @pytest.mark.parametrize("d, header", [("-1e-13", "0.0"), ("0.7853981633974484", "0.7853981633974483")])
     def test_header_d_is_the_clamped_d(self, d, header, capsys):
@@ -631,11 +653,15 @@ class TestBatchErrors:
             ("1 0 0 0 0", "expected 4 numbers, got 5"),
             ("1 0 0 0 0 1 0 0", "expected 4 numbers, got 8"),
             ("1 0 0 0 0 1 zero 0", "malformed input line '1 0 0 0 0 1 zero 0'"),
+            ("1 " + "0 " * 36 + "zero", f"malformed input line {'1 ' + '0 ' * 36 + 'zero'!r}"),
+            ("1 " + "0 " * 36 + "zero0", "malformed input line of 81 characters: 'zero0' at column 77"),
+            ("1 0 " + "x" * 100 + " 0", f"malformed input line of 108 characters: '{'x' * 40}'... at column 7"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "prepare"])
     def test_line_numbered(self, command, bad, message, capsys, monkeypatch):
-        # Line 2 is blank and still counts; line 1's record is already written.
+        # Line 2 is blank and still counts; line 1's record is already written.  With its indent, a line of up to 80
+        # characters is quoted whole; a longer one is named by its length and its first bad token, cut to 40 characters.
         first = run_cli(capsys, command, "1", "0", "0", "0")[1]
         monkeypatch.setattr("sys.stdin", io.StringIO(f"1 0 0 0\n\n  {bad}\n0 1 0 0\n"))
         assert run_cli(capsys, command) == (2, first, f"error: line 3: {message}\n")
@@ -991,12 +1017,14 @@ def test_a_line_longer_than_many_reads_takes_linear_time(capsys, monkeypatch):
     assert result == (2, "", "error: line 1: expected 4 numbers, got 1\n")
 
 
-@pytest.mark.parametrize("last, bound", [("0.5", 3), ("zero", 8)], ids=["count", "malformed"])
-def test_a_long_line_is_refused_without_splitting_it(last, bound, capsys, monkeypatch):
+@pytest.mark.parametrize("last", ["0.5", "zero"], ids=["count", "malformed"])
+def test_a_long_line_is_refused_without_splitting_it(last, capsys, monkeypatch):
     # A line of 100,000 numbers is refused as a string plus its rest: a list of its tokens and floats took 12 times
-    # the line.  The malformed message carries the line, so it is copied a few times on its way to stderr.
+    # the line.  The malformed message names the line by its length and its bad token, so it holds no copy of the line.
     line = " ".join([*(f"{i}.25" for i in range(99_999)), last])
-    message = "expected 4 numbers, got 100000" if last == "0.5" else f"malformed input line {line!r}"
+    message = "expected 4 numbers, got 100000"
+    if last == "zero":
+        message = f"malformed input line of {len(line)} characters: 'zero' at column {len(line) - 3}"
     first = run_cli(capsys, "classify", "1", "0", "0", "0")[1]
     monkeypatch.setattr("realtwoqubit.cli._READ_SIZE", 4096)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f"1 0 0 0\n{line}\n".encode()), encoding="utf-8"))
@@ -1007,7 +1035,7 @@ def test_a_long_line_is_refused_without_splitting_it(last, bound, capsys, monkey
     finally:
         tracemalloc.stop()
     assert result == (2, first, f"error: line 2: {message}\n")
-    assert peak < bound * len(line)
+    assert peak < 3 * len(line)
 
 
 def test_text_written_to_stdout_before_stays_first(capsys, monkeypatch):
@@ -1061,6 +1089,7 @@ START_UP_RUNS = {
         ],
         "_argv _core _mesh",
     ),
+    "sample": ([["sample", "--d", "0.3", "--count", "200", "--seed", "7"]], "_argv _core _mesh _sample _state"),
 }
 
 
@@ -1072,7 +1101,7 @@ def test_start_up_imports_only_the_core():
         "from realtwoqubit.cli import main\n"
         f"runs = {[argv for runs, _ in START_UP_RUNS.values() for argv in runs]!r}\n"
         "codes = [main(argv) for argv in runs]\n"
-        "watched = ['argparse', 'dataclasses', 'inspect', 'numpy'] + [\n"
+        "watched = ['argparse', 'dataclasses', 'inspect', 'json', 'numpy'] + [\n"
         "    f'realtwoqubit.{m}' for m in ('states', 'geometry', 'synthesis')\n"
         "]\n"
         "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"
@@ -1084,7 +1113,7 @@ def test_start_up_imports_only_the_core():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0] [] ['realtwoqubit.geometry']"
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0, 0] [] []"
     # Each subcommand, in a fresh interpreter, compiles only its own part of the core.
     for command, (runs, parts) in START_UP_RUNS.items():
         script = (

@@ -31,6 +31,7 @@ from realtwoqubit import (
     torus_angles,
     BellCoords,
 )
+from realtwoqubit import _mesh
 from realtwoqubit._mesh import _CHUNK, _mesh_rows, _row_texts
 from reference import immersion_defect, orbit_surface, surface_gram_det
 
@@ -383,8 +384,9 @@ def _per_point_mesh(d, n_a, n_b):
     """orbit_mesh with the trigonometry evaluated afresh at every point: the reference.
 
     x4 >= 0 keeps the grid angle 2 pi j / n exactly when 2j <= n; a sine of the rounded angle would drop t = pi
-    for some even n, where the angle rounds past pi.  The walk is chunk-major: b in chunks of _CHUNK angles on the
-    outside, every a row of a chunk before the next chunk.
+    for some even n, where the angle rounds past pi.  The walk is tile-major in a, then chunk-major in b: a in tiles
+    of _A_CHUNK angles on the outside, then b in chunks of _CHUNK angles, every a row of a tile for one chunk before
+    the tile's next chunk.
     """
     grid_a = [(TWO_PI * i / n_a, 2 * i <= n_a) for i in range(n_a)]
     grid_b = [(TWO_PI * j / n_b, 2 * j <= n_b) for j in range(n_b)]
@@ -393,14 +395,15 @@ def _per_point_mesh(d, n_a, n_b):
         # The circle pair is the a = 0 row of the torus of radii 0 and 1.
         grid_a, sd, cd = grid_a[:1], 0.0, 1.0
     points = []
-    for start in range(0, n_b, _CHUNK):
-        for a, a_upper in grid_a:
-            for b, b_upper in grid_b[start : start + _CHUNK]:
-                if b_upper:
-                    sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
-                    points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
-                if a_upper and abs(d - PI4) > 1e-12:
-                    points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
+    for tile in range(0, len(grid_a), _mesh._A_CHUNK):
+        for start in range(0, n_b, _CHUNK):
+            for a, a_upper in grid_a[tile : tile + _mesh._A_CHUNK]:
+                for b, b_upper in grid_b[start : start + _CHUNK]:
+                    if b_upper:
+                        sheet = "BOTH" if abs(d - PI4) <= 1e-12 else "V34"
+                        points.append((sd * math.cos(a), sd * math.sin(a), cd * math.cos(b), d, sheet))
+                    if a_upper and abs(d - PI4) > 1e-12:
+                        points.append((cd * math.cos(b), cd * math.sin(b), sd * math.cos(a), d, "V12"))
     return points
 
 
@@ -410,6 +413,14 @@ GRIDS = [(6, 7), (7, 8), (2, 2), (2, 3), (3, 2), (3, 300)]
 MESH_CASES = [(d, n_a, n_b) for d in (0.0, 1e-13, math.pi / 6, PI4 - 1e-13, PI4) for n_a, n_b in GRIDS]
 
 
+def _assert_writers_render(d, n_a, n_b, points):
+    """Both writers render the points, in their order, as the reference renderings do."""
+    rows = [f"{p[0]!r},{p[1]!r},{p[2]!r},{p[3]!r},{p[4]}" for p in points]
+    assert "".join(mesh_to_csv(d, n_a, n_b)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
+    data = {"d": d, "points": [{"u": [*p[:3]], "sheet": p[4]} for p in points]}
+    assert "".join(mesh_to_json(d, n_a, n_b)) == json.dumps(data) + "\n"
+
+
 class TestMeshWriters:
     @pytest.mark.parametrize("d, n_a, n_b", MESH_CASES)
     def test_grid_matches_per_point_evaluation(self, d, n_a, n_b):
@@ -417,11 +428,18 @@ class TestMeshWriters:
 
     @pytest.mark.parametrize("d, n_a, n_b", MESH_CASES)
     def test_writers_match_reference_renderings(self, d, n_a, n_b):
-        points = orbit_mesh(d, n_a, n_b)
-        rows = [f"{p.u1!r},{p.u2!r},{p.u3!r},{p.d!r},{p.sheet}" for p in points]
-        assert "".join(mesh_to_csv(d, n_a, n_b)) == "\n".join(["u1,u2,u3,d,sheet", *rows]) + "\n"
-        data = {"d": d, "points": [{"u": [p.u1, p.u2, p.u3], "sheet": p.sheet} for p in points]}
-        assert "".join(mesh_to_json(d, n_a, n_b)) == json.dumps(data) + "\n"
+        _assert_writers_render(d, n_a, n_b, orbit_mesh(d, n_a, n_b))
+
+    @pytest.mark.parametrize("d", [0.3, PI4])
+    def test_tiles_of_a_match_per_point_evaluation(self, d, monkeypatch):
+        # In tiles of 3 a rows, 7 rows take three tiles, each walked over the three chunks of 300 b angles.  Rows 0 to 3
+        # are upper by their grid index, so row 3, the first of the second tile, still gets its V12 points.
+        whole = _per_point_mesh(d, 7, 300)
+        monkeypatch.setattr(_mesh, "_A_CHUNK", 3)
+        points = _per_point_mesh(d, 7, 300)
+        assert points != whole and sorted(points) == sorted(whole)
+        assert orbit_mesh(d, 7, 300) == points
+        _assert_writers_render(d, 7, 300, points)
 
     def test_writers_keep_signed_zeros(self):
         # The d = -0.0 circle pair: the d column and "d" keep their sign, the circle zeros stay 0.0.  Both angles are
@@ -443,6 +461,17 @@ class TestMeshWriters:
         assert orbit_mesh(0.0, 3, 5) == orbit_mesh(0.0, 2, 5) == want
 
 
+def _peak(write, d, n_a, n_b):
+    """The tracemalloc peak of a writer's text, consumed a chunk at a time as the mesh command writes it."""
+    tracemalloc.start()
+    try:
+        for _ in write(d, n_a, n_b):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunks:
     @pytest.mark.parametrize("d", [0.0, 0.3, PI4])
     def test_no_row_exceeds_the_chunk(self, d):
@@ -461,14 +490,14 @@ class TestChunks:
     def test_writers_run_in_flat_memory(self, write, d):
         # Consumed a chunk at a time, as the mesh command writes it, a 2 x 65536 torus never holds more than a chunk's
         # tables and text: a whole row of b would be tens of MiB.
-        tracemalloc.start()
-        try:
-            for _ in write(d, 2, 65536):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert _peak(write, d, 2, 65536) < 2**20
+
+    @pytest.mark.parametrize("write", [mesh_to_csv, mesh_to_json])
+    @pytest.mark.parametrize("d", [0.3, PI4])
+    def test_writers_run_in_flat_memory_in_a(self, write, d):
+        # A 65536 x 2 torus holds one tile of a at a time, so its peak is within the 2 x 65536 torus's bound: a table
+        # over all of a would be about 13 MiB.
+        assert _peak(write, d, 65536, 2) < 2**20
 
     @pytest.mark.parametrize(
         "n_b",

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import realtwoqubit
+from realtwoqubit._argv import _COMMANDS
 
 #: Each name the core took from an object-API module that the module still imports.
 MOVED = {
     "states": "_unit _to_bell _from_bell",
-    "geometry": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
-    "_checked_grid _mesh_rows",
+    "geometry": "QUARTER_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
+    "_checked_grid _mesh_rows _torus_state _draws",
     "synthesis": "_inverse _apply _intersection _connect _prepare",
 }
 
@@ -21,11 +22,12 @@ MOVED = {
 PART = {
     name: part
     for part, names in {
-        "_core": "QUARTER_PI TWO_PI SHEET_V34 SHEET_V12 _checked_distance",
+        "_core": "QUARTER_PI SHEET_V34 SHEET_V12 _checked_distance",
         "_state": "_unit _to_bell _from_bell _chart",
         "_classify": "DEFAULT_CLASS_TOL",
         "_synthesis": "_inverse _apply _intersection _connect _prepare",
         "_mesh": "_checked_grid _mesh_rows",
+        "_sample": "_torus_state _draws",
     }.items()
     for name in names.split()
 }
@@ -71,6 +73,14 @@ def test_private_constant_is_not_public():
 def test_moved_name_is_reexported(module, name):
     part = importlib.import_module(f"realtwoqubit.{PART[name]}")
     assert getattr(importlib.import_module(f"realtwoqubit.{module}"), name) is vars(part)[name]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_command_runs_on_the_core(command):
+    # Each handler is a function of a core part, so no CLI run imports the object API: states, geometry or synthesis.
+    part, _, name = _COMMANDS[command][1].partition(".")
+    assert part.startswith("_") and part in MODULES
+    assert callable(vars(importlib.import_module(f"realtwoqubit.{part}"))[name])
 
 
 @pytest.mark.parametrize("module", MODULES)
