@@ -41,9 +41,11 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
     holds a V34 point's u3 and the next point's u1 and u2: the V34/V12
     interleave of an upper-`a` row.  Every d walks a in tiles of _A_CHUNK
     angles and, in each tile, b _CHUNK angles at a time: tile-major in a,
-    then chunk-major in b.  A row is one a row of the grid for one chunk of
-    b, all rows of a tile's chunk before its next chunk, and a row with no
-    point in its chunk is skipped.  The d = 0 circle pair is the a = 0 row of
+    then chunk-major in b.  A row is, for one chunk of m angles of b, the
+    next _CHUNK // m a rows of the tile, so a grid of a few angles of b is not
+    written a short row at a time and no row holds more than _CHUNK entries;
+    all rows of a tile's chunk come before its next chunk, and a row with no
+    point is skipped.  The d = 0 circle pair is the a = 0 row of
     the torus of radii 0 and 1: each upper angle's V34 point, its V12 mirror,
     then the lower V12s.
     """
@@ -69,25 +71,30 @@ def _mesh_rows(d: float, n_a: int, n_b: int, conv, open_, comma, close, between)
                 pairs = [b1 + comma + conv(cd * s) for b1, s in zip(b1s, map(math.sin, angles))]
                 interleave = [b1 + v34 + between + open_ + p for b1, p in zip(upper, pairs)]
                 lower = pairs[len(upper) :]
-            for i, (a1, a2) in enumerate(small, tile):
-                left = open_ + a1 + comma + a2 + comma
-                if mirror and 2 * i <= n_a:
-                    yield [(lead, run, comma + a1 + v12) for lead, run in ((left, interleave), (open_, lower)) if run]
-                elif upper:
-                    yield [(left, upper, v34)]
-
-
-def _run_text(left: str, column, right: str, between: str) -> str:
-    """A run's points parted by `between`, in one join."""
-    return left + (right + between + left).join(column) + right
+            per = _CHUNK // len(angles)  # a rows to a row of runs, so that it holds at most _CHUNK entries
+            for first in range(0, len(small), per):
+                row = []
+                for i, (a1, a2) in enumerate(small[first : first + per], tile + first):
+                    left = open_ + a1 + comma + a2 + comma
+                    if mirror and 2 * i <= n_a:
+                        row += [
+                            (lead, run, comma + a1 + v12) for lead, run in ((left, interleave), (open_, lower)) if run
+                        ]
+                    elif upper:
+                        row.append((left, upper, v34))
+                if row:
+                    yield row
 
 
 def _row_texts(rows, between: str):
-    """The text of each row of runs, points parted by `between`: one text per row, an a row of one chunk of b.
+    """The text of each row of runs, points parted by `between`: a run (left, column, right) in one join.
 
     map holds no row once its text is made, so a row's strings are freed before the text is written.
     """
-    texts = map(lambda row: between.join([_run_text(*run, between) for run in row]), rows)
+    texts = map(
+        lambda row: between.join([left + (right + between + left).join(column) + right for left, column, right in row]),
+        rows,
+    )
     return chain(islice(texts, 1), map(between.__add__, texts))
 
 

@@ -1,6 +1,7 @@
-"""The state primitives on 4-tuples that classify, prepare and connect share, and the split of input numbers into states."""
+"""The state primitives on 4-tuples that classify, prepare and connect share, and the batch step of their records."""
 
 import math
+from itertools import chain, repeat
 
 #: Construction renormalizes inputs whose norm deviates from 1 by less than
 #: this, and rejects anything worse.
@@ -71,7 +72,17 @@ def _chart(state) -> tuple[float, float, float]:
     return _distance(x), math.atan2(x2, x1), math.atan2(x4, x3)
 
 
-def _states_from_values(values: list[float], per_line: int) -> list[tuple]:
-    if len(values) != per_line:
-        raise ValueError(f"expected {per_line} numbers, got {len(values)}")
-    return [*map(_unit, *[iter(values)] * 4)]  # one iterator four times: each _unit takes the next four values
+def _fill(records: list, run, args, rows) -> None:
+    """Extend records with run(args, *states) per non-blank row of args.per_line numbers: one pipeline of maps.
+
+    A blank row is empty.  The rows before the first non-blank one of a wrong count are made, then it is refused.
+    Each four numbers are read by float and checked by _unit, one iterator four times; `list.extend` keeps the
+    records made before an error, so len(records) counts the non-blank rows that came through.
+    """
+    per_line, sizes = args.per_line, [*map(len, rows)]
+    # The one count check: the first row of neither 0 nor per_line tokens, else the end.
+    end = min(map(sizes.index, {*sizes} - {0, per_line}), default=len(rows))
+    states = map(_unit, *[map(float, chain.from_iterable(rows[:end]))] * 4)
+    records.extend(map(run, repeat(args), *[states] * (per_line // 4)))
+    if end < len(rows):  # argv's message; a stdin line's is _usage._refusal's, which counts the whole line
+        raise ValueError(f"expected {per_line} numbers, got {len(rows[end])}")

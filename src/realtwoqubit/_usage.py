@@ -1,5 +1,5 @@
 """The command line's longer error texts, loaded only when one is written: help and usage errors, formatted from its
-subcommand table, and why a stdin line is refused; `cli` writes them and exits."""
+subcommand table, and a failed stdin line's error, numbered; `cli` writes them and exits."""
 
 import re
 
@@ -36,3 +36,19 @@ def _refusal(line: str, per_line: int) -> str:
         token = f"{match[0][:40]!r}{'...' * (len(match[0]) > 40)}"
         return f"malformed input line of {len(line)} characters: {token} at column {match.start() + 1}"
     return f"expected {per_line} numbers, got {count}"
+
+
+def _numbered(exc: ValueError, lines: list, rows: list, done: int, per_line: int, number: int) -> ValueError:
+    """The error of the first stdin line past `done` non-blank rows, led by `line N: `, N counted from `number`.
+
+    Blank rows are empty lists, as str.split() makes of a line that is empty or all whitespace.  A line of a wrong
+    count, or with a token that is no number, is refused by _refusal; any other error keeps its text and class.
+    """
+    index = [i for i, row in enumerate(rows) if row][done]
+    try:
+        if len(rows[index]) != per_line:
+            raise ValueError
+        [*map(float, rows[index])]
+    except ValueError:
+        return ValueError(f"line {number + index + 1}: {_refusal(lines[index], per_line)}")
+    return type(exc)(f"line {number + index + 1}: {exc}")

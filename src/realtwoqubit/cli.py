@@ -15,16 +15,18 @@ stdout, and the exit code stays.  States can also be piped on stdin, one
 whitespace-separated state per line, for batch runs.  Any error on a stdin
 line, in reading, checking or making its record, names the line and keeps its
 exit code, as in `error: ORBIT_MISMATCH: line 2: states lie on different
-orbits (...)`; errors in argv name no line.  One loop, `_records`, does that
-per-line work: each input state is validated once, as it is read; the work
-then runs on plain 4-tuples, and each record is one f-string of reprs, byte
-for byte what json.dumps writes.  Stdin is taken a read at a time, as much as
-it holds, and the records of each read are one text; mesh and sample return
-their chunks.  This module alone reads stdin and writes stdout, stderr and
---out, so the core does no I/O: `main` writes each text in full and flushed
-at once by `_write_all`, help too, so no record is held while the program
-waits for input, the records before a bad line stay, and a stdout that fails
-ends every run with exit 1, under `python -u` too.
+orbits (...)`; errors in argv name no line.  `_records` splits each line of
+a read once, and `_state._fill` makes the read's records in one pipeline of
+maps, with no Python loop per line: float, `_unit`, which validates each
+input state once, and the record maker on plain 4-tuples.  Each record is one
+f-string of reprs, byte for byte what json.dumps writes.  Only when a line
+fails does `_usage` find its number and word its error.  Stdin is taken a
+read at a time, as much as it holds, and the records of each read are one
+text; mesh and sample return their chunks.  This module alone reads stdin and
+writes stdout, stderr and --out, so the core does no I/O: `main` writes each
+text in full and flushed at once by `_write_all`, help too, so no record is
+held while the program waits for input, the records before a bad line stay,
+and a stdout that fails ends every run with exit 1, under `python -u` too.
 
 The argv grammar is `_argv`'s, which does no I/O: `main` writes the help or
 usage error that `parse_args` raises, formatted by `_usage`.
@@ -33,9 +35,9 @@ At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
 loaded by the interpreter already), the core's base `_core` and the grammar
 `_argv` are imported.  A subcommand imports its part of the core as it runs:
 `_state` with `_classify` or `_synthesis`, `_mesh` alone, or `_sample` with
-`_mesh` and `_state`, and help and usage errors `_usage`.  So a run compiles
-no part it does not run and loads neither argparse nor dataclasses nor the
-object API.
+`_mesh` and `_state`, and help, usage errors and a failed stdin line
+`_usage`.  So a run compiles no part it does not run and loads neither
+argparse nor dataclasses nor the object API.
 """
 
 import codecs
@@ -100,13 +102,15 @@ def _reads():
 
     A read takes what stdin holds, waiting only when it holds nothing; its
     bytes are decoded as sys.stdin would, without newline translation.  An
-    in-memory stream never waits, so its whole text is one read.
+    in-memory stream never waits, and is read _READ_SIZE characters at a time.
     """
     if sys.stdin is None:  # fd 0 closed at start-up
         raise ValueError("no stdin")
     buffer = getattr(sys.stdin, "buffer", None)
     if buffer is None:
-        yield sys.stdin.read() + "\n"
+        while text := sys.stdin.read(_READ_SIZE):
+            yield text
+        yield "\n"
         return
     decode = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors).decode
     while chunk := buffer.read1(_READ_SIZE):
@@ -117,37 +121,35 @@ def _reads():
 def _records(run, args):
     """Yield the records of the inputs, one text per stdin read: the argv numbers, else each non-blank stdin line.
 
+    Each line is split once, into at most per_line + 1 tokens, so a long line keeps its rest in one piece.  The rows
+    before the first non-blank one of a wrong count go through `_state._fill` in one pipeline; then that row is refused.
     A stdin line's errors are led by `line N: `; the records of the lines before it in its read are yielded first.
     """
-    from ._state import _states_from_values
+    from ._state import _fill
 
-    if args.values:
-        yield run(args, *_states_from_values(args.values, args.per_line))
+    per_line, number, pieces = args.per_line, 0, []  # pieces: those of a line longer than a read, joined at its newline
+    if args.values:  # one row, whose errors name no line
+        records = []
+        _fill(records, run, args, [args.values])
+        yield records[0]
         return
-    number, pieces = 0, []  # the pieces of a line longer than a read, joined once at its newline
     for text in _reads():
         *lines, tail = text.split("\n")  # "\n" only, as sys.stdin splits lines
+        del text  # like the tokens below: a read's text, its tokens and its joined records are not all held at once
         if lines:
             lines[0], pieces = "".join([*pieces, lines[0]]), []
         pieces.append(tail)
+        rows = [line.split(None, per_line) for line in lines]
         records = []
         try:
-            for number, line in enumerate(lines, number + 1):
-                tokens = line.split(None, args.per_line)  # a longer line keeps its rest in one piece
-                if not tokens:
-                    continue
-                try:
-                    if len(tokens) > args.per_line:  # refused as a bad number is, with no float made of its rest
-                        raise ValueError
-                    values = [*map(float, tokens)]
-                except ValueError:
-                    from ._usage import _refusal  # compiled only when a line is refused
-
-                    raise ValueError(_refusal(line, args.per_line)) from None
-                records.append(run(args, *_states_from_values(values, args.per_line)))
+            _fill(records, run, args, rows)
         except ValueError as exc:  # parsing, checking or writing; the class is kept, so ORBIT_MISMATCH still exits 3
             yield "".join(records)
-            raise type(exc)(f"line {number}: {exc}") from None
+            from ._usage import _numbered  # compiled only when a line fails
+
+            raise _numbered(exc, lines, rows, len(records), per_line, number) from None
+        number += len(rows)
+        del rows
         yield "".join(records)
 
 

@@ -40,7 +40,7 @@ from realtwoqubit import (
 )
 from realtwoqubit._argv import _Usage, parse_args
 from realtwoqubit._sample import _cmd_sample
-from realtwoqubit.cli import main
+from realtwoqubit.cli import _READ_SIZE, main
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 V3_ARGS = [repr(ISQ2), "0", "0", repr(ISQ2)]
@@ -642,22 +642,47 @@ def test_stream_golden(case, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+#: The refused lines of classify and prepare, and their messages.
+STATE_LINE_ERRORS = [
+    ("1 0 zero 0", "malformed input line '1 0 zero 0'"),
+    ("1 0 0", "expected 4 numbers, got 3"),
+    ("nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
+    ("2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
+    ("1 0 0 0 0", "expected 4 numbers, got 5"),
+    ("1 0 0 0 0 1 0 0", "expected 4 numbers, got 8"),
+    ("1 0 0 0 0 1 zero 0", "malformed input line '1 0 0 0 0 1 zero 0'"),
+    ("1 " + "0 " * 36 + "zero", f"malformed input line {'1 ' + '0 ' * 36 + 'zero'!r}"),
+    ("1 " + "0 " * 36 + "zero0", "malformed input line of 81 characters: 'zero0' at column 77"),
+    ("1 0 " + "x" * 100 + " 0", f"malformed input line of 108 characters: '{'x' * 40}'... at column 7"),
+]
+#: connect's refused lines: a short one and three whose second state is bad.
+PAIR_LINE_ERRORS = [
+    ("1 0 0 0 0 1 0", "expected 8 numbers, got 7"),
+    ("1 0 0 0 2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
+    ("1 0 0 0 nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
+    ("1 0 0 0 0 zero 0 0", "malformed input line '1 0 0 0 0 zero 0 0'"),
+]
+#: Per command line, its good input line and its refused lines, each with its exit code and message.
+BATCH_ERRORS = {
+    "classify": ("1 0 0 0", [(bad, 2, text) for bad, text in STATE_LINE_ERRORS]),
+    "prepare": ("1 0 0 0", [(bad, 2, text) for bad, text in STATE_LINE_ERRORS]),
+    "connect": (" ".join(PAIR), [(bad, 2, text) for bad, text in PAIR_LINE_ERRORS]),
+    "connect --local-only": (" ".join(PAIR), [
+        *((bad, 2, text) for bad, text in PAIR_LINE_ERRORS),
+        (" ".join(["1", "0", "0", "0", *V3_ARGS]), 3,
+         "states lie on different orbits (d = 0.7853981633974483 vs 0.0); local gates preserve d"),
+    ]),
+}
+
+
+def _filled(line: str, size: int) -> str:
+    """Copies of a line, the last one padded with spaces, of exactly `size` UTF-8 bytes with their newlines."""
+    count, extra = divmod(size, len(line) + 1)
+    return f"{line}\n" * (count - 1) + line + " " * extra + "\n"
+
+
 class TestBatchErrors:
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("1 0 zero 0", "malformed input line '1 0 zero 0'"),
-            ("1 0 0", "expected 4 numbers, got 3"),
-            ("nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
-            ("2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
-            ("1 0 0 0 0", "expected 4 numbers, got 5"),
-            ("1 0 0 0 0 1 0 0", "expected 4 numbers, got 8"),
-            ("1 0 0 0 0 1 zero 0", "malformed input line '1 0 0 0 0 1 zero 0'"),
-            ("1 " + "0 " * 36 + "zero", f"malformed input line {'1 ' + '0 ' * 36 + 'zero'!r}"),
-            ("1 " + "0 " * 36 + "zero0", "malformed input line of 81 characters: 'zero0' at column 77"),
-            ("1 0 " + "x" * 100 + " 0", f"malformed input line of 108 characters: '{'x' * 40}'... at column 7"),
-        ],
-    )
+    @pytest.mark.parametrize("bad, message", STATE_LINE_ERRORS)
     @pytest.mark.parametrize("command", ["classify", "prepare"])
     def test_line_numbered(self, command, bad, message, capsys, monkeypatch):
         # Line 2 is blank and still counts; line 1's record is already written.  With its indent, a line of up to 80
@@ -671,14 +696,7 @@ class TestBatchErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0 0 1 0 0\n1 0 0 0 0 1 0\n"))
         assert run_cli(capsys, "connect") == (2, first, "error: line 2: expected 8 numbers, got 7\n")
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("1 0 0 0 2 0 0 0", "amplitude vector has norm 2.0, not within 1e-06 of 1"),
-            ("1 0 0 0 nan 0 0 0", "amplitude components must be finite, got (nan, 0.0, 0.0, 0.0)"),
-            ("1 0 0 0 0 zero 0 0", "malformed input line '1 0 0 0 0 zero 0 0'"),
-        ],
-    )
+    @pytest.mark.parametrize("bad, message", PAIR_LINE_ERRORS[1:])
     def test_connect_second_state_line_numbered(self, bad, message, capsys, monkeypatch):
         first = run_cli(capsys, "connect", *PAIR)[1]
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{' '.join(PAIR)}\n{bad}\n"))
@@ -717,6 +735,31 @@ class TestBatchErrors:
             "error: ORBIT_MISMATCH: line 3: states lie on different orbits (d = 0.7853981633974483 vs 0.0); "
             "local gates preserve d\n",
         )
+
+    @pytest.mark.parametrize("place", ["first", "last", "straddling", "after-blanks"])
+    @pytest.mark.parametrize(
+        "command, good, bad, code, message",
+        [
+            # Each bad line indented, as in test_line_numbered, which the messages of the longer ones count.
+            pytest.param(command, good, f"  {bad}", code, message, id=f"{command}-{i}")
+            for command, (good, errors) in BATCH_ERRORS.items()
+            for i, (bad, code, message) in enumerate(errors)
+        ],
+    )
+    def test_at_read_boundaries(self, command, good, bad, code, message, place, capsys, monkeypatch):
+        # Stdin comes _READ_SIZE bytes a read.  The bad line opens the second read, closes the first, straddles the
+        # two, or follows blank lines of whitespace that str.split() drops, the first of whose \u3000 bytes straddle.
+        # Its error names its line and keeps its exit code, and the records of the lines before it are all written.
+        size = len(bad) + 1
+        head = {"first": _READ_SIZE, "last": _READ_SIZE - size, "straddling": _READ_SIZE - size // 2}.get(place)
+        before = _filled(good, head) if head else _filled(good, _READ_SIZE - 4) + "\x1c\x1c\n\u3000\n\r\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(before))
+        first = run_cli(capsys, *command.split())[1]
+        assert first.count("\n") == before.count(good)
+        data = f"{before}{bad}\n{good}\n".encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        error = f"error: {'ORBIT_MISMATCH: ' * (code == 3)}line {before.count(chr(10)) + 1}: {message}\n"
+        assert run_cli(capsys, *command.split()) == (code, first, error)
 
 
 def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
@@ -988,8 +1031,6 @@ def test_in_memory_stdout_gets_the_same_text(argv, stdin, code, lines, capsys, m
 
 def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
     # As under python -u, each text reaches the bytes below stdout at once: a write per record would show here.
-    from realtwoqubit.cli import _READ_SIZE
-
     class CountingBytesIO(io.BytesIO):
         writes = 0
 
@@ -1006,6 +1047,24 @@ def test_one_stdout_write_per_stdin_read(capsys, monkeypatch):
     assert main(["classify"]) == 0
     assert out.getvalue() == expected
     assert 1 < out.writes <= -(-len(text) // _READ_SIZE) + 1
+
+
+def test_in_memory_stdin_is_taken_a_read_size_at_a_time(monkeypatch):
+    # A StringIO never waits, but it is read _READ_SIZE characters at a time, as a file is: a run holds one read's
+    # lines and records, not the whole input's, and writes each read's records as one text.
+    class CountingStringIO(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    text = "".join(f"{math.cos(i)!r} {math.sin(i)!r} 0 0\n" for i in range(10_000))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    with contextlib.redirect_stdout(CountingStringIO()) as out:
+        assert main(["classify"]) == 0
+    assert out.getvalue().count("\n") == 10_000
+    assert out.writes == -(-len(text) // _READ_SIZE) + 1
 
 
 def test_a_line_longer_than_many_reads_takes_linear_time(capsys, monkeypatch):
@@ -1093,16 +1152,24 @@ START_UP_RUNS = {
 }
 
 
+#: Clean stdin lines of the batch commands, each run 3000 times: a batch of several reads that compiles no error text.
+BATCHES = [("classify", "0.6 0.8 0 0\n"), ("prepare", "0.5 0.5 0.5 0.5\n"), ("connect", "1 0 0 0 0 1 0 0\n")]
+
+
 def test_start_up_imports_only_the_core():
-    # Modules already loaded before the package (by a site hook, say) are not held against it.
+    # Modules already loaded before the package (by a site hook, say) are not held against it.  Neither the argv runs,
+    # the ORBIT_MISMATCH among them, nor the clean stdin batches load `_usage`, which only a failed line or help needs.
     script = (
-        "import sys\n"
+        "import io, sys\n"
         "before = set(sys.modules)\n"
         "from realtwoqubit.cli import main\n"
         f"runs = {[argv for runs, _ in START_UP_RUNS.values() for argv in runs]!r}\n"
         "codes = [main(argv) for argv in runs]\n"
+        f"for command, line in {BATCHES!r}:\n"  # clean batches of several reads each
+        "    sys.stdin = io.TextIOWrapper(io.BytesIO(line.encode() * 3000), encoding='utf-8')\n"
+        "    codes.append(main([command]))\n"
         "watched = ['argparse', 'dataclasses', 'inspect', 'json', 'numpy'] + [\n"
-        "    f'realtwoqubit.{m}' for m in ('states', 'geometry', 'synthesis')\n"
+        "    f'realtwoqubit.{m}' for m in ('states', 'geometry', 'synthesis', '_usage')\n"
         "]\n"
         "early = sorted(m for m in watched if m in sys.modules and m not in before)\n"
         "codes.append(main(['sample', '--d', '0.3', '--seed', '7']))\n"
@@ -1113,7 +1180,7 @@ def test_start_up_imports_only_the_core():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0, 0] [] []"
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0] [] []"
     # Each subcommand, in a fresh interpreter, compiles only its own part of the core.
     for command, (runs, parts) in START_UP_RUNS.items():
         script = (

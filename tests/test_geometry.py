@@ -485,6 +485,20 @@ class TestChunks:
         assert max(points) <= 2 * _CHUNK
         assert sum(points) == _point_count(d, 3, 1500)
 
+    @pytest.mark.parametrize(
+        "d, n_a, n_b, texts",
+        [(0.3, 1000, 2, 16), (PI4, 1000, 2, 16), (0.3, 4, 256, 8), (PI4, 4, 256, 8), (0.3, 4, 130, 5),
+         (PI4, 4, 130, 4)],
+    )
+    def test_short_rows_share_a_text(self, d, n_a, n_b, texts):
+        # A chunk of m angles of b is written _CHUNK // m a rows a text: 1000 a rows of two angles make 16 texts, not
+        # 1000 writes.  A whole chunk keeps a text per a row, and the two angles of b after one make one text, or
+        # none at pi/4, where both are lower angles and have no point.
+        rows = _mesh_rows(d, n_a, n_b, repr, "", ",", lambda sheet: f",{d!r},{sheet}\n", "")
+        points = [text.count("\n") for text in _row_texts(rows, "")]
+        assert len(points) == texts and max(points) <= 2 * _CHUNK
+        assert sum(points) == _point_count(d, n_a, n_b)
+
     @pytest.mark.parametrize("write", [mesh_to_csv, mesh_to_json])
     @pytest.mark.parametrize("d", [0.3, PI4])
     def test_writers_run_in_flat_memory(self, write, d):
