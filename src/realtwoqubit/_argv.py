@@ -6,8 +6,8 @@ starts with `--` (or is `-h`) is a flag, given as `--flag value`,
 `--flag=value` or a unique abbreviation, and the last of a repeated flag
 wins; every other token, and every token after `--`, is a number, wherever
 it stands.  This module does no I/O: help and usage errors are raised as
-`_Usage`, and `cli` formats them from the same table with `_usage`, writes
-them and exits.
+`_Usage`; `_usage` formats them from the same table, and `cli` writes them
+and exits.
 """
 
 import types

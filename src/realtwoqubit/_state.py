@@ -84,5 +84,5 @@ def _fill(records: list, run, args, rows) -> None:
     end = min(map(sizes.index, {*sizes} - {0, per_line}), default=len(rows))
     states = map(_unit, *[map(float, chain.from_iterable(rows[:end]))] * 4)
     records.extend(map(run, repeat(args), *[states] * (per_line // 4)))
-    if end < len(rows):  # argv's message; a stdin line's is _usage._refusal's, which counts the whole line
+    if end < len(rows):  # argv's message; a stdin line's is _usage._numbered's, which counts the whole line
         raise ValueError(f"expected {per_line} numbers, got {len(rows[end])}")

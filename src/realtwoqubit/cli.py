@@ -46,7 +46,7 @@ import importlib
 import os
 import sys
 
-from ._argv import _COMMANDS, _Usage, parse_args
+from ._argv import _Usage, parse_args
 from ._core import OrbitMismatchError, _checked_tol
 
 #: Bytes per stdin read: the chunk size of sys.stdin itself, so a decoding error names the same position.
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     except _Usage as exc:  # help to stdout and exit 0, or a usage error to stderr and exit 2; `_usage` is loaded only now
         from ._usage import _help_or_error
 
-        (_error if exc.error else _write_all)(_help_or_error(_COMMANDS, exc.command, exc.error))
+        (_error if exc.error else _write_all)(_help_or_error(exc.command, exc.error))
         raise SystemExit(2 if exc.error else 0) from None
     except OrbitMismatchError as exc:
         _error(f"error: ORBIT_MISMATCH: {exc}\n")

@@ -1193,3 +1193,18 @@ def test_start_up_imports_only_the_core():
         assert proc.returncode == 0, proc.stderr
         loaded = sorted(f"realtwoqubit.{m}" for m in ["cli", *parts.split()])
         assert proc.stderr.splitlines()[-1] == str(loaded), command
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11), reason="CPython 3.11's peak")
+def test_cli_compiles_below_its_cliff():
+    # With no bytecode written every run compiles cli.py, and its compile() peak sets the run's peak memory.  It is
+    # about 366 KiB; a dozen more statements take it past 420 KiB, so a change that crosses that step fails here.
+    path = Path(sys.modules[main.__module__].__file__)
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024, peak
