@@ -117,17 +117,16 @@ def _prepare(target) -> tuple:
     return ("ry", 0, t1), ("ry", 1, _wrap_angle(t3 - t4)), _CZ, ("ry", 1, _wrap_angle(t3 + t4))
 
 
-#: The JSON of each gate without an angle that _prepare and _connect emit: only those are looked up, so no angle is hashed.
-_FIXED_GATE_JSON = {
-    ("cz", None, None): '{"kind": "cz"}',
-    ("x", 0, None): '{"kind": "x", "qubit": 0}',
-}
-
 _ZERO = (1.0, 0.0, 0.0, 0.0)
 
 
 def _gates_json(gates) -> str:
-    texts = [_FIXED_GATE_JSON[g] if g[2] is None else f'{{"kind": "ry", "qubit": {g[1]}, "angle": {g[2]!r}}}' for g in gates]
+    # Gate.to_dict's rule, the non-None prefix of (kind, qubit, angle), as json.dumps writes it: no CLI run loads json.
+    texts = [
+        f'{{"kind": "{kind}", "qubit": {qubit}, "angle": {angle!r}}}' if angle is not None
+        else f'{{"kind": "{kind}", "qubit": {qubit}}}' if qubit is not None else f'{{"kind": "{kind}"}}'
+        for kind, qubit, angle in gates
+    ]
     return f"[{', '.join(texts)}]"
 
 
