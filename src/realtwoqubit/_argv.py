@@ -20,7 +20,7 @@ _TOL = {"--tol": ("tol", float, DEFAULT_TOL, "verification tolerance (default 1e
 _D = {"--d": ("d", float, ..., "orbit distance in [0, pi/4] (required)")}
 _COMMANDS = {
     "classify": ("orbit class, distance, entropy and Bell coordinates", "_classify._classify_record", 4, _TOL),
-    "prepare": ("preparation circuit from |00>", "_synthesis._prepare_record", 4, _TOL),
+    "prepare": ("preparation circuit from |00>", "_gates._prepare_record", 4, _TOL),
     "connect": ("circuit taking the source state to the target state", "_synthesis._connect_record", 8, {
         **_TOL, "--local-only": ("local_only", None, False, "refuse to use CZ; exit 3 if the orbits differ")}),
     "mesh": ("sample an orbit into the unit ball", "_mesh._cmd_mesh", 0, {

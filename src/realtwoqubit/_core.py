@@ -1,8 +1,9 @@
 """The shared base of the plain-float core that the command line runs, split by subcommand.
 
-A run compiles only what it executes: `_state` with `_classify` or `_synthesis`, `_mesh` alone, or `_sample`, `_state`
-and `_mesh`.  The parts import only math, operator, itertools, each other and, in `_sample` alone, random; they do no
-I/O, and the object API wraps them in its records, so each formula has one implementation and each name one import path.
+A run compiles only what it executes: `_state` with `_classify`, `_gates` (prepare) or `_gates` and `_synthesis`
+(connect), `_mesh` alone, or `_sample`, `_state` and `_mesh`.  The parts import only math, operator, itertools, each
+other and, in `_sample` alone, random; they do no I/O, and the object API wraps them in its records, so each formula
+has one implementation and each name one import path.
 """
 
 import math

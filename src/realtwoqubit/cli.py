@@ -34,10 +34,10 @@ usage error that `parse_args` raises, formatted by `_usage`.
 At start-up only `codecs`, `errno`, `importlib`, `os`, `sys`, `types` (all
 loaded by the interpreter already), the core's base `_core` and the grammar
 `_argv` are imported.  A subcommand imports its part of the core as it runs:
-`_state` with `_classify` or `_synthesis`, `_mesh` alone, or `_sample` with
-`_mesh` and `_state`, and help, usage errors and a failed stdin line
-`_usage`.  So a run compiles no part it does not run and loads neither
-argparse nor dataclasses nor the object API.
+`_state` with `_classify`, `_gates` (prepare) or `_gates` and `_synthesis`
+(connect), `_mesh` alone, or `_sample` with `_mesh` and `_state`, and help,
+usage errors and a failed stdin line `_usage`.  So a run compiles no part it
+does not run and loads neither argparse nor dataclasses nor the object API.
 """
 
 import codecs
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
         run = getattr(importlib.import_module(f".{part}", __package__), name)
         # classify, prepare and connect make one text per stdin read in _records; mesh and sample return theirs.
         texts = _records(run, args) if args.per_line else run(args)
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:  # an empty path is refused by open, as any unwritable one
             try:
                 with open(args.out, "w", newline="") as fh:  # no newline translation: the file holds stdout's bytes
                     fh.writelines(texts)

@@ -2,16 +2,16 @@
 
 Gates are plain value objects; `apply` runs them.  Inside the package a gate
 is the tuple (kind, qubit, angle) and a state the 4-tuple of its amplitudes:
-the gate action, the solvers, the preparation and the residual work on
-them in `_synthesis`.  A Gate is that tuple as a named tuple and a Circuit a
-tuple of Gates, so code that reads gates takes either form; the functions
-below wrap the core's results in Gate, Circuit, RealState and ConnectionPlan,
-and each Gate is validated again on construction.  CZ is symmetric between
-the two qubits, so it carries neither qubit nor angle and its JSON form is
-just {"kind": "cz"}.  The constructor alone checks which fields a kind takes:
-`to_dict` keeps the fields that are not None, and `from_dict` passes the
-dict's fields back in, once `states._checked_dict` has refused a non-dict or
-an unknown key.
+the gate action, the preparation and the residual work on them in `_gates`,
+and the connect solver in `_synthesis`.  A Gate is that tuple as a named
+tuple and a Circuit a tuple of Gates, so code that reads gates takes either
+form; the functions below wrap the core's results in Gate, Circuit,
+RealState and ConnectionPlan, and each Gate is validated again on
+construction.  CZ is symmetric between the two qubits, so it carries neither
+qubit nor angle and its JSON form is just {"kind": "cz"}.  The constructor
+alone checks which fields a kind takes: `to_dict` keeps the fields that are
+not None, and `from_dict` passes the dict's fields back in, once
+`states._checked_dict` has refused a non-dict or an unknown key.
 
 Three constructive results, each verified against the simulator:
 
@@ -40,7 +40,8 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from ._core import DEFAULT_TOL, _checked_distance, _checked_tol, _integer, _number
-from ._synthesis import _apply, _connect, _intersection, _inverse, _prepare
+from ._gates import _apply, _inverse, _prepare
+from ._synthesis import _connect, _intersection
 from .states import RealState, _checked_dict
 
 
@@ -121,7 +122,7 @@ def apply(circuit: Circuit, state: RealState) -> RealState:
     gate on qubit 0 lifts to kron(M, I).  The convention test in the suite
     pins this down via (Ry(-2t) x I)|v3> = cos(t) v3 + sin(t) v4.
 
-    The four amplitudes are acted on in closed form (`_synthesis._apply`): Ry
+    The four amplitudes are acted on in closed form (`_gates._apply`): Ry
     on qubit 0 rotates the pairs (w1, w3) and (w2, w4), X on qubit 0 swaps
     them and CZ negates w4.  A qubit-1 gate is the qubit-0 one under the
     w2 <-> w3 swap (SWAP conjugation), so it rotates or swaps (w1, w2) and

@@ -41,7 +41,7 @@ from realtwoqubit import (
 )
 from realtwoqubit._argv import _Usage, parse_args
 from realtwoqubit._sample import _cmd_sample
-from realtwoqubit._synthesis import _gates_json
+from realtwoqubit._gates import _gates_json
 from realtwoqubit.cli import _READ_SIZE, main
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -542,6 +542,12 @@ class TestMesh:
         argv = ["mesh", "--d", "0.3", "--na", "2", "--nb", "2", "--out", "/dev/full"]
         assert run_cli(capsys, *argv) == (2, "", "error: cannot write /dev/full: No space left on device\n")
 
+    @pytest.mark.parametrize("out", [["--out="], ["--out", ""]])
+    def test_empty_out_is_a_usage_error(self, out, capsys):
+        # An empty path is a path that cannot be opened, not a request for stdout.
+        argv = ["mesh", "--d", "0.3", "--na", "2", "--nb", "2", *out]
+        assert run_cli(capsys, *argv) == (2, "", "error: cannot write : No such file or directory\n")
+
     def test_out_file_equals_stdout(self, capsys, tmp_path):
         argv = ["mesh", "--d", "0.3", "--na", "7", "--nb", "9", "--format", "json"]
         _, out, _ = run_cli(capsys, *argv)
@@ -942,7 +948,7 @@ def test_classify_makes_one_bell_change_per_line(capsys, monkeypatch):
 
 
 def test_prepare_validates_each_input_once(capsys, monkeypatch):
-    # Only the reader calls _state._unit on prepare's path; the simulator's own _unit is _synthesis's import.
+    # Only the reader calls _state._unit on prepare's path; the simulator's own _unit is _gates's import.
     from realtwoqubit import _state
 
     calls = []
@@ -1291,14 +1297,14 @@ def test_full_nonblocking_stdout_raises(capsys, monkeypatch):
 #: Per subcommand, the runs of the start-up test and the part modules of the core they may load.
 START_UP_RUNS = {
     "classify": ([["classify", "1", "0", "0", "0"]], "_argv _classify _core _state"),
-    "prepare": ([["prepare", "0.5", "0.5", "0.5", "0.5"]], "_argv _core _state _synthesis"),
+    "prepare": ([["prepare", "0.5", "0.5", "0.5", "0.5"]], "_argv _core _gates _state"),
     "connect": (
         [
             ["connect", "1", "0", "0", "0", "0", "0", "0", "1"],
             ["connect", "--local-only", "1", "0", "0", "0", "0", "1", "0", "0"],
             ["connect", "--local-only", "1", "0", "0", "0", "0.7071067811865476", "0", "0", "0.7071067811865476"],
         ],
-        "_argv _core _state _synthesis",
+        "_argv _core _gates _state _synthesis",
     ),
     "mesh": (
         [
@@ -1355,10 +1361,12 @@ def test_start_up_imports_only_the_core():
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11), reason="CPython 3.11's peak")
-def test_cli_compiles_below_its_cliff():
-    # With no bytecode written every run compiles cli.py, and its compile() peak sets the run's peak memory.  It is
-    # about 366 KiB; a dozen more statements take it past 420 KiB, so a change that crosses that step fails here.
-    path = Path(sys.modules[main.__module__].__file__)
+@pytest.mark.parametrize("module", sorted({"cli", "_usage", *" ".join(parts for _, parts in START_UP_RUNS.values()).split()}))
+def test_cli_compiles_below_its_cliff(module):
+    # With no bytecode written every run compiles cli.py and the parts it loads (help and usage errors `_usage`), and
+    # the largest compile() peak sets the run's peak memory.  cli.py's is about 366 KiB; a dozen more statements take it
+    # past 420 KiB, so a module that crosses that step fails here.
+    path = Path(sys.modules[main.__module__].__file__).with_name(f"{module}.py")
     source = path.read_text()
     tracemalloc.start()
     try:

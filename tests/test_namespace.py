@@ -25,7 +25,8 @@ PART = {
         "_core": "QUARTER_PI SHEET_V34 SHEET_V12 _checked_distance",
         "_state": "_unit _to_bell _from_bell _chart",
         "_classify": "DEFAULT_CLASS_TOL",
-        "_synthesis": "_inverse _apply _intersection _connect _prepare",
+        "_gates": "_inverse _apply _prepare",
+        "_synthesis": "_intersection _connect",
         "_mesh": "_checked_grid _mesh_rows",
         "_sample": "_torus_state _draws",
     }.items()
@@ -54,8 +55,9 @@ def test_star_import_binds_every_public_name():
 
 
 def test_no_public_name_is_an_unchecked_core_function():
-    # _state and _synthesis read plain tuples unchecked; a public name reads its states through from_vector.
-    assert sorted(name for name, home in realtwoqubit._HOME.items() if home in ("_state", "_synthesis")) == []
+    # _state, _gates and _synthesis read plain tuples unchecked; a public name reads its states through from_vector.
+    unchecked = ("_state", "_gates", "_synthesis")
+    assert sorted(name for name, home in realtwoqubit._HOME.items() if home in unchecked) == []
 
 
 def test_unknown_attribute_raises():
