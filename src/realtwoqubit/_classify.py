@@ -3,7 +3,7 @@
 import math
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, SHEET_BOTH, SHEET_V12, SHEET_V34, _number
-from ._state import _concurrence, _distance, _to_bell, on_v34_side
+from ._state import _concurrence, _distance, _to_bell
 
 MAX_ENTANGLED = "max_entangled"
 GENERIC = "generic"
@@ -15,16 +15,16 @@ DEFAULT_CLASS_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
-def _classify(state, bell) -> tuple[str, float, str]:
-    """(kind, d, sheet) of a state whose Bell coordinates are `bell`; see geometry.classify."""
-    d = _distance(bell)
+def _classify(bell) -> tuple[str, float, str]:
+    """(kind, d, sheet) of the state with Bell coordinates `bell`; see geometry.classify."""
+    d, v34 = _distance(bell)
     if d <= DEFAULT_CLASS_TOL:
         kind = MAX_ENTANGLED
     elif abs(d - QUARTER_PI) <= DEFAULT_CLASS_TOL:
         return PRODUCT, d, SHEET_BOTH
     else:
         kind = GENERIC
-    return kind, d, SHEET_V34 if on_v34_side(state) else SHEET_V12
+    return kind, d, SHEET_V34 if v34 else SHEET_V12
 
 
 def entropy_from_concurrence(c: float) -> float:
@@ -53,7 +53,7 @@ def _entropy(c: float) -> float:
 
 def _classify_record(args, state: tuple) -> str:
     x1, x2, x3, x4 = bell = _to_bell(state)
-    kind, d, sheet = _classify(state, bell)
+    kind, d, sheet = _classify(bell)
     c = _concurrence(state)
     # The entropy comes from C rather than d: near the product torus d has too few digits.
     return (

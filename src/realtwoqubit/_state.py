@@ -32,24 +32,10 @@ def _from_bell(coords) -> tuple:
     return _unit((x1 + x3) * _INV_SQRT2, (x2 + x4) * _INV_SQRT2, (x2 - x4) * _INV_SQRT2, (x3 - x1) * _INV_SQRT2)
 
 
-def _minor(state) -> float:
-    # (r34^2 - r12^2)/2 in terms of the Bell-plane radii: half of +-cos 2d.
-    w1, w2, w3, w4 = state
-    return w1 * w4 - w2 * w3
-
-
 def _concurrence(state) -> float:
     """2|w1*w4 - w2*w3|: 0 for product states, 1 for maximally entangled ones."""
-    return 2.0 * abs(_minor(state))
-
-
-def on_v34_side(state) -> bool:
-    """True when w1*w4 - w2*w3 >= 0: the state is at least as close to E(v3, v4) as to E(v1, v2).
-
-    The one sheet test: a zero product, which only the product torus has,
-    counts as V34.
-    """
-    return _minor(state) >= 0.0
+    w1, w2, w3, w4 = state
+    return 2.0 * abs(w1 * w4 - w2 * w3)
 
 
 def _sign_residual(a, b) -> float:
@@ -59,17 +45,17 @@ def _sign_residual(a, b) -> float:
     return min(math.hypot(a1 - b1, a2 - b2, a3 - b3, a4 - b4), math.hypot(a1 + b1, a2 + b2, a3 + b3, a4 + b4))
 
 
-def _distance(bell) -> float:
-    """d from Bell coordinates: atan2 of the smaller Bell-plane radius over the larger."""
+def _distance(bell) -> tuple[float, bool]:
+    """d and the sheet (True: V34, ties too) by one fold: atan2 of the smaller Bell-plane radius over the larger."""
     x1, x2, x3, x4 = bell
     r12, r34 = math.hypot(x1, x2), math.hypot(x3, x4)
-    return math.atan2(r12, r34) if r12 <= r34 else math.atan2(r34, r12)
+    return (math.atan2(r12, r34), True) if r12 <= r34 else (math.atan2(r34, r12), False)
 
 
-def _chart(state) -> tuple[float, float, float]:
-    """d and the angles of the state in the (x1, x2) and (x3, x4) planes, from one Bell change."""
+def _chart(state) -> tuple[float, bool, float, float]:
+    """d, the sheet (True: V34) and the angles in the (x1, x2) and (x3, x4) planes, from one Bell change."""
     x1, x2, x3, x4 = x = _to_bell(state)
-    return _distance(x), math.atan2(x2, x1), math.atan2(x4, x3)
+    return (*_distance(x), math.atan2(x2, x1), math.atan2(x4, x3))
 
 
 def _fill(records: list, run, args, rows) -> None:

@@ -4,7 +4,7 @@ import math
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, OrbitMismatchError
 from ._gates import _CZ, _X0, _apply, _gates_json, _inverse, _wrap_angle, residual
-from ._state import _chart, _from_bell, _sign_residual, _unit, on_v34_side
+from ._state import _chart, _from_bell, _sign_residual, _unit
 
 
 def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -> tuple:
@@ -12,17 +12,19 @@ def _leg(source, target, tol: float, source_chart: tuple, target_chart: tuple) -
 
     The orbit is taken to be the target's: d is not compared, since with a
     tiny tol rounding alone parts the two computed d by more than tol.
+    Opposite sheets take an X on qubit 0, but the two Ry alone leave radii (sin d_s, cos d_s) against (cos d, sin d),
+    a residual of sqrt(2 - 2 sin(d_s + d)) = 2 sin(eps/2) <= eps, with eps = (pi/4 - d_s) + (pi/4 - d).  It all but
+    equals eps, so near the product torus the X is skipped when eps <= tol/2, and the other half of tol is rounding's.
     """
     if _sign_residual(source, target) <= tol:
         return ()
     prefix = ()
-    v34 = on_v34_side(target)
-    if on_v34_side(source) != v34:
+    d, v34, t12, t34 = target_chart
+    if source_chart[1] != v34 and (QUARTER_PI - source_chart[0]) + (QUARTER_PI - d) > tol / 2.0:
         # Opposite sheets: X on qubit 0 maps one torus onto its mirror.
         prefix = (_X0,)
         source_chart = _chart(_apply(prefix, source))
-    d_s, c12, c34 = source_chart
-    d, t12, t34 = target_chart
+    d_s, _, c12, c34 = source_chart
     d_alpha = _wrap_angle(t12 - c12)
     d_beta = _wrap_angle(t34 - c34)
     if math.sin(d_s) + math.sin(d) <= tol:

@@ -15,8 +15,8 @@ labels the orbits:
   its mirror at distance d from E(v1, v2);
 * d = pi/4: a single torus, exactly the product states.
 
-The sign of w1*w4 - w2*w3 (half of cos 2d on the V34 sheet) tells the sheets
-apart without computing distances twice (`_state.on_v34_side`).
+The same fold tells the sheets apart: V34 when r <= sqrt(x3^2 + x4^2), else
+V12 (`_state._distance`).
 
 The chart (`_state`), the classification and the entropy from the
 concurrence (`_classify`), the mesh walk (`_mesh`), the torus formula and
@@ -32,7 +32,7 @@ from ._classify import DEFAULT_CLASS_TOL, _classify, _entropy
 from ._core import QUARTER_PI, SHEET_V12, SHEET_V34, _checked_distance, _number
 from ._mesh import _checked_grid, _mesh_rows
 from ._sample import _draws, _torus_state
-from ._state import _chart, _distance, _to_bell, on_v34_side
+from ._state import _chart, _distance, _to_bell
 from .states import RealState
 
 
@@ -80,7 +80,7 @@ def entanglement_distance(state: RealState) -> float:
     same fold computed stably at both circles, where the arcsin form loses
     half its digits.
     """
-    return _distance(_to_bell(RealState.from_vector(state)))
+    return _distance(_to_bell(RealState.from_vector(state)))[0]
 
 
 def classify(state: RealState) -> OrbitClass:
@@ -89,11 +89,10 @@ def classify(state: RealState) -> OrbitClass:
     d <= DEFAULT_CLASS_TOL is maximally entangled, |d - pi/4| <=
     DEFAULT_CLASS_TOL is product (sheet BOTH, the two sheets coincide there),
     anything else is generic.
-    The sheet comes from the sign of w1*w4 - w2*w3: V34 when it is positive
-    or zero, V12 when negative.
+    The sheet comes from the fold that gives d: V34 when the (x1, x2) radius
+    is at most the (x3, x4) one, V12 when it is larger.
     """
-    state = RealState.from_vector(state)
-    return OrbitClass(*_classify(state, _to_bell(state)))
+    return OrbitClass(*_classify(_to_bell(RealState.from_vector(state))))
 
 
 def entropy_from_distance(d: float) -> float:
@@ -120,11 +119,10 @@ def torus_angles(state: RealState) -> TorusPoint:
     Raises DegenerateAngleError where classify says max_entangled (d <=
     DEFAULT_CLASS_TOL): there the small plane carries no direction for `a`.
     """
-    state = RealState.from_vector(state)
-    d, angle12, angle34 = _chart(state)
+    d, v34, angle12, angle34 = _chart(RealState.from_vector(state))
     if d <= DEFAULT_CLASS_TOL:
         raise DegenerateAngleError(f"state lies on a maximally entangled circle (d = {d:.3e}); torus angle a is undefined")
-    if on_v34_side(state):
+    if v34:
         return TorusPoint(d, angle12, angle34, SHEET_V34)
     return TorusPoint(d, angle34, angle12, SHEET_V12)
 

@@ -14,13 +14,13 @@ are physically identical; nothing here canonicalizes the sign, and
 Inside the package a state is the plain 4-tuple of its amplitudes, validated
 once by `_unit` where it is made: from input, by the Bell change or by a
 circuit.  `_unit`, the Bell change, the concurrence, the sign residual and
-the sheet sign live in the core's `_state` part; this module makes RealState
-and BellCoords the same 4-tuples as named tuples, and `_checked_dict` checks
-the dict every loader reads.  Every object-API function that reads a state,
-`concurrence` and `sign_residual` here included, reads it through
-`from_vector`, which passes a record of its class as it is, refuses the other
-record class and checks anything else; the functions that return one wrap
-the core's tuple without checking it again.
+the fold that gives d and the sheet live in the core's `_state` part; this
+module makes RealState and BellCoords the same 4-tuples as named tuples, and
+`_checked_dict` checks the dict every loader reads.  Every object-API
+function that reads a state, `concurrence` and `sign_residual` here
+included, reads it through `from_vector`, which passes a record of its class
+as it is, refuses the other record class and checks anything else; the
+functions that return one wrap the core's tuple without checking it again.
 """
 
 from collections import namedtuple

@@ -1375,3 +1375,11 @@ def test_cli_compiles_below_its_cliff(module):
     finally:
         tracemalloc.stop()
     assert peak < 400 * 1024, peak
+
+
+def test_stdlib_replay_holds():
+    # tests/replay.py replays the golden files and one run per exit code with the standard library alone, for the
+    # interpreters that have no test dependencies; here it runs on this one.
+    replay = Path(__file__).with_name("replay.py")
+    proc = subprocess.run([sys.executable, str(replay)], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

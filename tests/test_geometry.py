@@ -138,6 +138,13 @@ class TestClassify:
         assert len(generic) > 1
         for s in generic:
             assert classify(s).sheet == torus_angles(s).sheet, s
+        # One fold gives d and the sheet: V34 exactly when the (x1, x2) radius is the smaller, so `a` lies in it.
+        for s in states:
+            x = to_bell(s)
+            r12, r34 = math.hypot(x.x1, x.x2), math.hypot(x.x3, x.x4)
+            point = torus_angles(s)
+            assert (point.sheet == "V34") == (r12 <= r34), s
+            assert point.d == math.atan2(min(r12, r34), max(r12, r34)), s
 
     def test_sheet_swap_under_x(self, rng):
         flip = Circuit((Gate("x", 0),))

@@ -111,6 +111,17 @@ class TestLocalConnect:
             assert all(g.kind != "x" for g in plan.circuit)
             assert plan.residual < 1e-10
 
+    def test_product_pairs_never_use_x(self, rng):
+        # On the product torus the two sheets are one, so no sheet swap is asked for, whichever side rounding picks.
+        def product(a, b):
+            ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+            return RealState(ca * cb, ca * sb, sa * cb, sa * sb)
+
+        for a, b, c, e in rng.uniform(0.0, TWO_PI, size=(20000, 4)):
+            plan = local_connect(product(a, b), product(c, e), tol=1e-10)
+            assert [g.kind for g in plan.circuit] in ([], ["ry", "ry"]), plan
+            assert plan.residual <= 1e-10
+
     def test_sweep_all_orbit_families(self, rng):
         for d in (0.0, 1e-11, 0.1, math.pi / 6, PI4):
             src_states = sample_orbit_states(d, 30, rng)
@@ -291,6 +302,22 @@ class TestCzConnect:
                 plan = cz_connect(src, tgt)
                 assert plan.cz_count == 1
                 assert plan.residual <= 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_near_product_pairs_meet_tol(self, rng, tol):
+        # Both ends within 10 tol of the product torus, on either sheet.  A local plan with no X between states that
+        # torus_angles puts on opposite sheets skipped the sheet swap, and must meet tol by the two Ry alone.
+        worst, skipped = 0.0, 0
+        for _ in range(20000):
+            eps = 10.0 ** rng.uniform(-16.0, math.log10(10.0 * tol), 2)
+            sheets = rng.choice(["V34", "V12"], 2).tolist()
+            src, tgt = (parametrize(TorusPoint(PI4 - e, *rng.uniform(0.0, TWO_PI, 2), s)) for e, s in zip(eps, sheets))
+            plan = cz_connect(src, tgt, tol)
+            swap = torus_angles(src).sheet != torus_angles(tgt).sheet
+            if swap and plan.cz_count == 0 and all(g.kind != "x" for g in plan.circuit):
+                worst, skipped = max(worst, plan.residual / tol), skipped + 1
+        assert skipped > 1000
+        assert worst <= 1.0
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-17])
     def test_tiny_tol_never_mismatches_legs(self, rng, tol):
