@@ -9,12 +9,6 @@ _CZ = ("cz", None, None)
 _X0 = ("x", 0, None)
 
 
-def _inverse(gate: tuple) -> tuple:
-    # X and CZ are involutions; Ry inverts by negating the angle.
-    kind, qubit, angle = gate
-    return (kind, qubit, -angle) if kind == "ry" else gate
-
-
 def _apply(gates, state) -> tuple:
     w1, w2, w3, w4 = state
     for kind, qubit, angle in gates:

@@ -3,7 +3,7 @@
 import math
 
 from ._core import _DOMAIN_SLACK, QUARTER_PI, OrbitMismatchError
-from ._gates import _CZ, _X0, _apply, _gates_json, _inverse, _wrap_angle, residual
+from ._gates import _CZ, _X0, _apply, _gates_json, _wrap_angle, residual
 from ._state import _chart, _from_bell, _sign_residual, _unit
 
 
@@ -47,7 +47,10 @@ def _intersection(d0: float, d1: float) -> tuple:
 
 
 def _connect(source, target, tol: float, local_only: bool = False) -> tuple:
-    """(gates, intermediate or None, residual): one local leg at equal d, else through one CZ, or refused if local_only."""
+    """(gates, intermediate or None, residual): one local leg at equal d, else through one CZ, or refused if local_only.
+
+    The plan is L or L CZ L, L = [X(q0)] [Ry(q0)] [Ry(q1)], from source to target, each leg on its endpoint's torus.
+    """
     chart_s, chart_t = _chart(source), _chart(target)
     d_s, d_t = chart_s[0], chart_t[0]
     if local_only or abs(d_s - d_t) <= tol:
@@ -56,14 +59,10 @@ def _connect(source, target, tol: float, local_only: bool = False) -> tuple:
         if gates and abs(d_s - d_t) > tol:
             raise OrbitMismatchError(f"states lie on different orbits (d = {d_s!r} vs {d_t!r}); local gates preserve d")
     else:
-        swapped = d_s < d_t
-        hi, lo = (target, source) if swapped else (source, target)
-        chart_hi, chart_lo = (chart_t, chart_s) if swapped else (chart_s, chart_t)
-        mid = _intersection(max(d_s, d_t), min(d_s, d_t))
+        mid = _intersection(max(d_s, d_t), min(d_s, d_t))  # on the lower-d torus, and CZ mid on the higher
         mid_cz = _apply((_CZ,), mid)
-        gates = _leg(hi, mid_cz, tol, chart_hi, _chart(mid_cz)) + (_CZ,) + _leg(mid, lo, tol, _chart(mid), chart_lo)
-        if swapped:
-            gates = tuple(map(_inverse, reversed(gates)))
+        near, far = (mid_cz, mid) if d_s > d_t else (mid, mid_cz)
+        gates = _leg(source, near, tol, chart_s, _chart(near)) + (_CZ,) + _leg(far, target, tol, _chart(far), chart_t)
     return gates, mid, residual(gates, source, target)
 
 

@@ -24,8 +24,9 @@ Three constructive results, each verified against the simulator:
   the plan is local_connect's: one core solver, `_connect`, serves both
   and refuses the CZ step for local_connect.  Otherwise the CZ image
   of the d0 torus meets the d1 torus (d0 > d1); one intersection point has
-  Bell coordinates (0, sin d1, sqrt(sin^2 d0 - sin^2 d1), cos d0), reached
-  locally from the source and left locally toward the target.
+  Bell coordinates (0, sin d1, sqrt(sin^2 d0 - sin^2 d1), cos d0).  The
+  plan is L CZ L either way: a local leg from the source to that point or
+  its CZ image, whichever is on its torus, the CZ, and a leg to the target.
 * prepare: any state is reached from |00> by the fixed template
   RY(q0, t1), RY(q1, t0), CZ, RY(q1, t2).
 
@@ -40,7 +41,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from ._core import DEFAULT_TOL, _checked_distance, _checked_tol, _integer, _number
-from ._gates import _apply, _inverse, _prepare
+from ._gates import _apply, _prepare
 from ._synthesis import _connect, _intersection
 from .states import RealState, _checked_dict
 
@@ -70,7 +71,7 @@ class Gate(namedtuple("Gate", "kind qubit angle", defaults=(None, None))):
         return tuple.__new__(cls, (kind, _integer(qubit), angle))  # cz's None stays None
 
     def inverse(self) -> "Gate":
-        return Gate(*_inverse(self))
+        return Gate(self.kind, self.qubit, -self.angle) if self.kind == "ry" else self  # X and CZ are involutions
 
     def to_dict(self) -> dict:
         return {name: value for name, value in self._asdict().items() if value is not None}
@@ -202,10 +203,9 @@ def cz_connect(source: RealState, target: RealState, tol: float = DEFAULT_TOL) -
 
     Same orbit, |d_s - d_t| <= tol, gets local_connect's plan (cz_count 0),
     made by the same core solver, `_synthesis._connect`.  Otherwise the plan
-    runs locally from the higher-d endpoint to the CZ preimage of the
-    intersection state, applies CZ, and runs locally to the lower-d endpoint;
-    when the source is the lower one the whole circuit is inverted, so the
-    reported intermediate is the intersection state either way.  Each
+    is L CZ L from source to target in either direction, each leg L of the
+    shape [X(q0)] [RY(q0)] [RY(q1)]: it passes the intersection state, which
+    it reports as the intermediate, and that state's CZ image.  Each
     endpoint is charted once, for the d comparison and for its leg.
     """
     return _plan(*_connect(*map(RealState.from_vector, (source, target)), _checked_tol(tol)))

@@ -43,6 +43,7 @@ from realtwoqubit._argv import _Usage, parse_args
 from realtwoqubit._sample import _cmd_sample
 from realtwoqubit._gates import _gates_json
 from realtwoqubit.cli import _READ_SIZE, main
+from strata import PAIR_STRATA, SAME_ORBIT_STRATA, STATE_STRATA, pair_strata, state_strata
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 V3_ARGS = [repr(ISQ2), "0", "0", repr(ISQ2)]
@@ -298,88 +299,6 @@ class TestConnect:
         assert json.loads(out)["cz_count"] == 0
 
 
-# Seeded strata of every record branch, drawn as the benchmark's streams are
-# (perfbench/workloads.py), at the CLI's default tol.
-BELL_ROWS = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]]) * ISQ2
-STATE_STRATA = ("haar", "circle_d0", "circle_1e-9", "product", "near_product", "near_empty_pair")
-SAME_ORBIT_STRATA = ("identical", "circle", "torus", "sheet_swap")
-PAIR_STRATA = (*SAME_ORBIT_STRATA, "cz_down", "cz_up", "cz_circle", "near_tol")
-STRATUM_SIZE = 12
-
-
-def _arc(radius, angle):
-    """Rows radius * (cos angle, sin angle)."""
-    return np.asarray(radius)[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
-
-
-def _either_first(rng, first, second):
-    """Each row first | second or second | first, by a fair coin."""
-    return np.where((rng.random(len(first)) < 0.5)[:, None], np.hstack([first, second]), np.hstack([second, first]))
-
-
-def _on_orbit(rng, d, n, sheet=None):
-    """n states at distance d (scalar or array) with uniform angles; sheet +1 is V34, -1 V12."""
-    d = np.broadcast_to(np.asarray(d, dtype=float), (n,))
-    a, b = rng.uniform(0.0, 2.0 * math.pi, (2, n))
-    small, large = _arc(np.sin(d), a), _arc(np.cos(d), b)
-    sheet = rng.choice([-1, 1], n) if sheet is None else sheet
-    return np.where(np.asarray(sheet)[:, None] > 0, np.hstack([small, large]), np.hstack([large, small])) @ BELL_ROWS
-
-
-def _haar(rng, n):
-    w = rng.standard_normal((n, 4))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
-
-
-def _generic_d(rng, n):
-    return rng.uniform(0.02, math.pi / 4 - 0.02, n)
-
-
-def _state_strata(rng, n=STRATUM_SIZE) -> dict:
-    al, be, th, ps = rng.uniform(0.0, 2.0 * math.pi, (4, n))
-    eps = 10.0 ** rng.uniform(-10.0, -7.0, n)
-    ones = np.ones(n)
-    return {
-        "haar": _haar(rng, n),
-        "circle_d0": _on_orbit(rng, 0.0, n),
-        "circle_1e-9": _on_orbit(rng, 1e-9, n),
-        "product": (_arc(ones, al)[:, :, None] * _arc(ones, be)[:, None, :]).reshape(n, 4),
-        "near_product": _on_orbit(rng, math.pi / 4 - 1e-8, n),
-        "near_empty_pair": _either_first(rng, _arc(eps, th), _arc(np.sqrt(1.0 - eps * eps), ps)),
-    }
-
-
-def _pair_strata(rng, n=STRATUM_SIZE) -> dict:
-    def same_orbit(d, swap_sheet):
-        sheet = rng.choice([-1, 1], n)
-        return np.hstack([_on_orbit(rng, d, n, sheet), _on_orbit(rng, d, n, -sheet if swap_sheet else sheet)])
-
-    def cz(down):
-        d1, d2 = _generic_d(rng, n), _generic_d(rng, n)
-        hi, lo = np.maximum(d1, d2), np.minimum(d1, d2)
-        return np.hstack([_on_orbit(rng, hi if down else lo, n), _on_orbit(rng, lo if down else hi, n)])
-
-    def near_tol():
-        d, sheet = _generic_d(rng, n), rng.choice([-1, 1], n)
-        gap = 1e-10 * rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-        return np.hstack([_on_orbit(rng, d, n, sheet), _on_orbit(rng, d + gap, n, sheet)])
-
-    def circle_d():
-        return np.where(rng.random(n) < 0.5, 0.0, 1e-9)
-
-    src = _haar(rng, n)
-    return {
-        "identical": np.hstack([src, src * rng.choice([-1.0, 1.0], n)[:, None]]),
-        "circle": same_orbit(circle_d(), swap_sheet=False),
-        "torus": same_orbit(_generic_d(rng, n), swap_sheet=False),
-        "sheet_swap": same_orbit(_generic_d(rng, n), swap_sheet=True),
-        "cz_down": cz(down=True),
-        "cz_up": cz(down=False),
-        "cz_circle": _either_first(rng, _on_orbit(rng, circle_d(), n), _on_orbit(rng, _generic_d(rng, n), n)),
-        "near_tol": near_tol(),
-    }
-
-
 #: Signed zeros and a subnormal amplitude, which the strata never draw.
 EDGE_STATES = [(-0.0, 0.0, 0.6, 0.8), (1.0, -0.0, 0.0, -0.0), (0.6, -0.0, 0.8, 5e-324), (5e-324, 1.0, -0.0, 0.0)]
 
@@ -416,7 +335,7 @@ class TestRecordBytes:
 
     @pytest.mark.parametrize("stratum", [*STATE_STRATA, "edge"])
     def test_classify_record(self, stratum, capsys, monkeypatch, rng):
-        rows = EDGE_STATES if stratum == "edge" else _state_strata(rng)[stratum]
+        rows = EDGE_STATES if stratum == "edge" else state_strata(rng)[stratum]
         for row, line in zip(rows, _records(capsys, monkeypatch, rows, "classify")):
             state = RealState(*map(float, row))
             orbit, c = classify(state), concurrence(state)
@@ -434,7 +353,7 @@ class TestRecordBytes:
 
     @pytest.mark.parametrize("stratum", [*STATE_STRATA, "edge"])
     def test_prepare_record(self, stratum, capsys, monkeypatch, rng):
-        rows = EDGE_STATES if stratum == "edge" else _state_strata(rng)[stratum]
+        rows = EDGE_STATES if stratum == "edge" else state_strata(rng)[stratum]
         for row, line in zip(rows, _records(capsys, monkeypatch, rows, "prepare")):
             state = RealState(*map(float, row))
             circuit = prepare(state)
@@ -443,7 +362,7 @@ class TestRecordBytes:
 
     @pytest.mark.parametrize("stratum", PAIR_STRATA)
     def test_connect_record(self, stratum, capsys, monkeypatch, rng):
-        rows = _pair_strata(rng)[stratum]
+        rows = pair_strata(rng)[stratum]
         lines = _records(capsys, monkeypatch, rows, "connect")
         plans = [cz_connect(*_ends(row)) for row in rows]
         assert lines == [json.dumps(plan.to_dict()) + "\n" for plan in plans]

@@ -15,7 +15,7 @@ MOVED = {
     "states": "_unit _to_bell _from_bell",
     "geometry": "QUARTER_PI SHEET_V34 SHEET_V12 DEFAULT_CLASS_TOL _checked_distance _chart "
     "_checked_grid _mesh_rows _torus_state _draws",
-    "synthesis": "_inverse _apply _intersection _connect _prepare",
+    "synthesis": "_apply _intersection _connect _prepare",
 }
 
 #: The part of the core that defines each moved name.
@@ -25,7 +25,7 @@ PART = {
         "_core": "QUARTER_PI SHEET_V34 SHEET_V12 _checked_distance",
         "_state": "_unit _to_bell _from_bell _chart",
         "_classify": "DEFAULT_CLASS_TOL",
-        "_gates": "_inverse _apply _prepare",
+        "_gates": "_apply _prepare",
         "_synthesis": "_intersection _connect",
         "_mesh": "_checked_grid _mesh_rows",
         "_sample": "_torus_state _draws",

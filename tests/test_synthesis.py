@@ -29,6 +29,7 @@ from realtwoqubit import (
     to_bell,
     torus_angles,
 )
+from strata import PAIR_STRATA, pair_strata
 
 PI4 = math.pi / 4.0
 TWO_PI = 2.0 * math.pi
@@ -49,10 +50,13 @@ def _wrap_diff(a, b):
     return abs(math.remainder(a - b, TWO_PI))
 
 
-def _assert_local_shape(circuit):
-    kinds = [g.kind for g in circuit]
-    assert "cz" not in kinds
-    assert kinds in ([], ["ry"], ["x", "ry"], ["ry", "ry"], ["x", "ry", "ry"])
+#: A local leg, as (kind, qubit): [X(q0)] [RY(q0)] [RY(q1)], each part present or not.
+LEG = (("x", 0), ("ry", 0), ("ry", 1))
+
+
+def _is_leg(gates):
+    shape = [(g.kind, g.qubit) for g in gates]
+    return shape == [part for part in LEG if part in shape]
 
 
 class TestLocalConnect:
@@ -128,7 +132,7 @@ class TestLocalConnect:
             tgt_states = sample_orbit_states(d, 30, rng)
             for src, tgt in zip(src_states, tgt_states):
                 plan = local_connect(src, tgt)
-                _assert_local_shape(plan.circuit)
+                assert _is_leg(plan.circuit)
                 assert plan.cz_count == 0
                 assert plan.residual < 1e-10
                 assert sign_residual(apply(plan.circuit, src), tgt) <= 1e-10
@@ -266,8 +270,8 @@ class TestCzConnect:
         assert plan.residual < 1e-10
         assert plan == local_connect(src, tgt)
 
-    def test_upward_direction_is_inverted_plan(self, rng):
-        # source at lower d than target exercises the circuit reversal
+    def test_upward_plan_leaves_source_for_intermediate(self, rng):
+        # The source has the lower d, so its leg ends at the intersection state itself, not at its CZ image.
         src = parametrize(TorusPoint(0.1, 0.4, 1.9, "V12"))
         tgt = parametrize(TorusPoint(0.6, -1.0, 0.3, "V34"))
         plan = cz_connect(src, tgt)
@@ -275,6 +279,32 @@ class TestCzConnect:
         assert plan.residual < 1e-9
         # intermediate sits on the lower orbit in both directions
         assert abs(entanglement_distance(plan.intermediate) - 0.1) < 1e-10
+        first = Circuit(plan.circuit[: plan.circuit.index(Gate("cz"))])
+        assert sign_residual(apply(first, src), plan.intermediate) < 1e-10
+
+    @pytest.mark.parametrize("stratum", [*PAIR_STRATA, "haar"])
+    def test_plan_is_leg_or_leg_cz_leg(self, stratum, rng):
+        # Both directions of each pair: every plan is built from source to target, L or L CZ L with L a local leg.
+        # The first leg ends on the source's torus: at the intersection state when the source has the lower d, else
+        # at its CZ image.
+        haar = stratum == "haar"
+        rows = [[*_random_state(rng), *_random_state(rng)] for _ in range(500)] if haar else pair_strata(rng)[stratum]
+        tol = 1e-10
+        for row in rows:
+            for src, tgt in ((row[:4], row[4:]), (row[4:], row[:4])):
+                src, tgt = RealState.from_vector(src), RealState.from_vector(tgt)
+                plan = cz_connect(src, tgt, tol)
+                assert plan.residual <= tol
+                if plan.cz_count == 0:
+                    assert _is_leg(plan.circuit) and plan.intermediate is None
+                    continue
+                cz = plan.circuit.index(Gate("cz"))
+                first, second = plan.circuit[:cz], plan.circuit[cz + 1 :]
+                assert _is_leg(first) and _is_leg(second)
+                mid = plan.intermediate
+                if entanglement_distance(src) > entanglement_distance(tgt):
+                    mid = apply(Circuit((Gate("cz"),)), mid)
+                assert sign_residual(apply(Circuit(first), src), mid) <= tol
 
     def test_plan_shape(self, rng):
         for _ in range(100):
